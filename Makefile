@@ -69,8 +69,8 @@ bench-check:
 			$(if $(filter .,$(BENCHPATTERN)),,-allow-missing)
 
 # `make profile` captures CPU and heap pprof profiles of the row-tier
-# group-commit engine at 8 workers — the configuration the speculative
-# partition and pre-planned merge target — by looping the row
+# group-commit engine at 8 workers — the widest point of the
+# shard-parallel plan and commit waves — by looping the row
 # worker-scaling benchmark (the fig10row experiment itself finishes in
 # milliseconds, far under the profiler's sampling period; the benchmark
 # drives the identical AdmitBatch/EvictBatch path thousands of times).

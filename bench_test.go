@@ -605,8 +605,8 @@ func BenchmarkEvictBatch(b *testing.B) {
 }
 
 // scalingWorkers is the worker sweep of the group-commit scaling
-// benchmarks: 1 is the serial baseline, 8 engages the speculative
-// partitioner and the spill/teardown pre-planning waves.
+// benchmarks: 1 is the serial baseline; higher counts fan the
+// shard-parallel plan and commit waves out over more goroutines.
 var scalingWorkers = []int{1, 2, 4, 8}
 
 // scalingBase records each scaling family's workers=1 throughput within
@@ -636,13 +636,13 @@ func reportScaling(b *testing.B, family string, workers int, perS float64, unit 
 // BenchmarkAdmitWorkerScaling sweeps the group-commit admission worker
 // count across the two batch tiers: bursts of 128 against the 16-rack
 // pod and 256 against the 16-pod (512-rack) row, under the spread
-// policy — the partitioner's worst case. Before the speculative head
-// and pre-planned tail, phase 1 and phase 3 were serial, so Amdahl
-// capped the sweep well below the shard-parallel ideal; with them,
-// scaling-eff measures how much of the batch actually runs on the
-// workers. Output is byte-identical at every worker count (the
-// equivalence property tests pin this), so the sweep is a pure
-// throughput experiment. Teardown between iterations is excluded.
+// policy — the partitioner's worst case. Phase 1 (partition) and
+// phase 3 (spill merge) stay serial, so Amdahl caps the sweep below the
+// shard-parallel ideal; scaling-eff measures how much of the batch
+// actually runs on the workers. Output is byte-identical at every
+// worker count (the equivalence property tests pin this), so the sweep
+// is a pure throughput experiment. Teardown between iterations is
+// excluded.
 func BenchmarkAdmitWorkerScaling(b *testing.B) {
 	b.Run("pod-16racks", func(b *testing.B) {
 		const burst = 128
@@ -729,8 +729,8 @@ func BenchmarkAdmitWorkerScaling(b *testing.B) {
 // BenchmarkEvictWorkerScaling is the admission sweep's inverse: the
 // same worker sweep over EvictBatch bursts on the 16-rack pod and the
 // 16-pod row, with re-admission excluded from the timing. The eviction
-// tail (cross-rack/cross-pod circuit teardown) was the serial half the
-// pre-planned crossPlan wave attacks; scaling-eff tracks what remains.
+// tail (cross-rack/cross-pod circuit teardown) is the serial remainder;
+// scaling-eff tracks how much of the batch runs on the workers.
 func BenchmarkEvictWorkerScaling(b *testing.B) {
 	b.Run("pod-16racks", func(b *testing.B) {
 		const burst = 128

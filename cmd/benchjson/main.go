@@ -26,6 +26,12 @@
 // their maximum across runs, cost metrics (ns/op, B/op, allocs/op)
 // their minimum, and the relative spread between the best and worst
 // run is reported so scheduler noise is visible instead of gating.
+//
+// Names are host-independent: `go test -bench` appends -<GOMAXPROCS>
+// to every benchmark name when GOMAXPROCS is not 1, so benchjson strips
+// exactly that suffix (its own GOMAXPROCS, which the pipe shares with
+// the `go test` run) and records GOMAXPROCS in the artifact. A baseline
+// recorded on one machine shape thus matches a run on another.
 package main
 
 import (
@@ -34,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,6 +59,7 @@ type Baseline struct {
 	GOARCH     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -66,9 +74,16 @@ func (b Baseline) metric(bench, name string) (float64, bool) {
 	return 0, false
 }
 
-// parse reads `go test -bench` output into a Baseline.
-func parse(r *bufio.Scanner) (Baseline, error) {
-	var out Baseline
+// parse reads `go test -bench` output, run under procs GOMAXPROCS, into
+// a Baseline. Above 1 procs, every name carries a -<procs> suffix that
+// parse strips — exactly that suffix, never a generic trailing -N, which
+// would also eat sub-benchmark parameters such as pods-8.
+func parse(r *bufio.Scanner, procs int) (Baseline, error) {
+	out := Baseline{GOMAXPROCS: procs}
+	procSuffix := ""
+	if procs > 1 {
+		procSuffix = "-" + strconv.Itoa(procs)
+	}
 	for r.Scan() {
 		line := r.Text()
 		switch {
@@ -96,7 +111,11 @@ func parse(r *bufio.Scanner) (Baseline, error) {
 		if err != nil {
 			continue
 		}
-		b := Benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+		name := fields[0]
+		if procSuffix != "" {
+			name = strings.TrimSuffix(name, procSuffix)
+		}
+		b := Benchmark{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 		// The remainder alternates value/unit pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -198,7 +217,7 @@ func main() {
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	fresh, err := parse(sc)
+	fresh, err := parse(sc, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fail(err)
 	}

@@ -121,7 +121,6 @@ func RunChurn(p Params) (ChurnResult, error) {
 	cfg := core.DefaultPodConfig(racks)
 	cfg.Rack = fig10PodRackSpec()
 	cfg.Rack.Seed = p.Seed
-	cfg.Rack.SDM.NoSpeculate = p.NoSpec
 	if need := racks * cfg.Fabric.UplinksPerRack; need > cfg.Fabric.Switch.Ports {
 		cfg.Fabric.Switch.Ports = need
 	}

@@ -102,7 +102,7 @@ func RunFig10Row(p Params) (Fig10RowResult, error) {
 		var ls []fig10RowLevel
 		var err error
 		if side == 0 {
-			ls, err = runFig10RowSharded(p.Seed, pods, racks, p.Batch || p.Pipeline > 1, p.BatchSize, p.Pipeline, p.Workers, p.NoSpec)
+			ls, err = runFig10RowSharded(p.Seed, pods, racks, p.Batch || p.Pipeline > 1, p.BatchSize, p.Pipeline, p.Workers)
 		} else {
 			ls, err = runFig10RowFlat(p.Seed, pods, racks)
 		}
@@ -155,9 +155,8 @@ func fig10RowConfig(seed uint64, pods, racks int) core.RowConfig {
 // scale-up burst; placement is identical and the measured delays are
 // arrival-relative, so the artifact stays byte-identical to the
 // unpipelined batch run — which is exactly what CI holds it to.
-func runFig10RowSharded(seed uint64, pods, racks int, batch bool, batchSize, pipeline, workers int, nospec bool) ([]fig10RowLevel, error) {
+func runFig10RowSharded(seed uint64, pods, racks int, batch bool, batchSize, pipeline, workers int) ([]fig10RowLevel, error) {
 	rcfg := fig10RowConfig(seed, pods, racks)
-	rcfg.Rack.SDM.NoSpeculate = nospec
 	row, err := core.NewRow(rcfg)
 	if err != nil {
 		return nil, err

@@ -115,22 +115,25 @@ func steadyChurn(t *testing.T, admit func([]AdmitRequest, []AdmitResult) error,
 // TestAdmitEvictSteadyStateAllocFree pins the tentpole contract of the
 // dense-ID data plane: once warm, a steady admit→evict churn through
 // the group-commit engines allocates nothing per cycle at either tier,
-// under both placement policies, with speculation on and off. Serial
-// batches (workers=1) must be exactly alloc-free; the parallel paths
-// are covered separately with an amortised bound, since goroutine
-// fan-out itself allocates.
+// under both placement policies. Serial batches (workers=1) must be
+// exactly alloc-free; the parallel paths are covered separately with an
+// amortised bound, since goroutine fan-out itself allocates.
+//
+// The nospec=false/true subtest labels are kept from when a speculative
+// partitioner could be switched off. That path is gone and, at
+// workers=1, never engaged, so both legs now run the one serial engine;
+// the labels keep the per-configuration test IDs stable.
 func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 	policies := []struct {
 		name string
 		pol  Policy
 	}{{"firstfit", PolicyFirstFit}, {"spread", PolicySpread}}
 	for _, pol := range policies {
-		for _, spec := range []bool{false, true} {
-			name := fmt.Sprintf("%s/nospec=%v", pol.name, spec)
+		for _, leg := range []string{"nospec=false", "nospec=true"} {
+			name := pol.name + "/" + leg
 			t.Run("pod/"+name, func(t *testing.T) {
 				cfg := DefaultConfig
 				cfg.Policy = pol.pol
-				cfg.NoSpeculate = spec
 				s := buildBatchPod(t, 2, 4, 4, 8*brick.GiB, cfg)
 				reqs := make([]AdmitRequest, 6)
 				for i := range reqs {
@@ -149,7 +152,6 @@ func TestAdmitEvictSteadyStateAllocFree(t *testing.T) {
 			t.Run("row/"+name, func(t *testing.T) {
 				cfg := DefaultConfig
 				cfg.Policy = pol.pol
-				cfg.NoSpeculate = spec
 				s := buildRowSched(t, 2, 2, 8*brick.GiB, cfg)
 				reqs := make([]AdmitRequest, 4)
 				for i := range reqs {

@@ -1,6 +1,7 @@
 package sdm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -55,4 +56,13 @@ func (f *fanout) run(workers, n int, fn func(i int)) {
 	}
 	f.wg.Wait()
 	f.fn = nil
+}
+
+// resolveWorkers maps the public worker-count contract (<= 0 means
+// GOMAXPROCS) onto a concrete pool size.
+func resolveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }

@@ -1,14 +1,13 @@
 package sdm
 
-// Randomized equivalence property tests for the speculative group-commit
-// paths (speculate.go): twin schedulers — one with Config.NoSpeculate
-// (the serial reference), one speculative — driven through identical
+// Randomized worker-count equivalence property tests for the
+// group-commit engines: twin schedulers — the reference driven at
+// workers=1, the test twin at 2/4/8 — put through identical
 // admission/eviction churn must produce byte-identical results, errors,
-// counters and final snapshots at every worker count. Bursts are sized
-// past specMinChunk so the speculative partitioner actually engages at
-// workers > 1, and the tight scenario concentrates attach-only load on
-// one hot rack so cross-rack spills, spill dooms (packet fallback) and
-// cross teardowns all run through the pre-planned paths.
+// counters and final snapshots. The tight scenario concentrates
+// attach-only load on one hot rack so cross-rack spills, spills doomed
+// into the packet fallback and cross teardowns all run behind the
+// shard-parallel commit waves.
 
 import (
 	"fmt"
@@ -21,8 +20,8 @@ import (
 // admittedPair tracks one committed admission on both twins so churn can
 // evict through each twin's own attachment pointers.
 type admittedPair struct {
-	req       AdmitRequest
-	ref, spec AdmitResult
+	req      AdmitRequest
+	ref, par AdmitResult
 }
 
 // evictPair builds the twin EvictRequests for one admitted pair.
@@ -34,24 +33,24 @@ func evictPair(a admittedPair) (EvictRequest, EvictRequest) {
 	if a.ref.Att != nil {
 		refEv.Atts = []*Attachment{a.ref.Att}
 	}
-	specEv := EvictRequest{
-		Owner: a.req.Owner, CPU: a.spec.CPU, Rack: a.spec.Rack, Pod: a.spec.Pod,
+	parEv := EvictRequest{
+		Owner: a.req.Owner, CPU: a.par.CPU, Rack: a.par.Rack, Pod: a.par.Pod,
 		VCPUs: a.req.VCPUs, LocalMem: a.req.LocalMem,
 	}
-	if a.spec.Att != nil {
-		specEv.Atts = []*Attachment{a.spec.Att}
+	if a.par.Att != nil {
+		parEv.Atts = []*Attachment{a.par.Att}
 	}
-	return refEv, specEv
+	return refEv, parEv
 }
 
 // sameErr asserts both twins failed (or succeeded) identically.
-func sameErr(t *testing.T, where string, refErr, specErr error) bool {
+func sameErr(t *testing.T, where string, refErr, parErr error) bool {
 	t.Helper()
-	if (refErr == nil) != (specErr == nil) {
-		t.Fatalf("%s: reference err=%v, speculative err=%v", where, refErr, specErr)
+	if (refErr == nil) != (parErr == nil) {
+		t.Fatalf("%s: reference err=%v, parallel err=%v", where, refErr, parErr)
 	}
-	if refErr != nil && refErr.Error() != specErr.Error() {
-		t.Fatalf("%s: error text diverges:\nreference:   %v\nspeculative: %v", where, refErr, specErr)
+	if refErr != nil && refErr.Error() != parErr.Error() {
+		t.Fatalf("%s: error text diverges:\nreference: %v\nparallel:  %v", where, refErr, parErr)
 	}
 	return refErr == nil
 }
@@ -84,13 +83,13 @@ func hotRackRequests(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitR
 	return reqs
 }
 
-// TestSpeculativeAdmitMatchesReference is the pod-tier equivalence
-// property: randomized admission/eviction churn on twin pods, one forced
-// onto the serial reference paths, across policies, worker counts and an
-// ample/tight capacity split. Churn retires the newest half of the live
-// population each round, newest first, so packet riders always precede
-// their circuit hosts into EvictBatch.
-func TestSpeculativeAdmitMatchesReference(t *testing.T) {
+// TestPodBatchWorkersMatchSerial is the pod-tier equivalence property:
+// randomized admission/eviction churn on twin pods, the reference at
+// workers=1, across policies, worker counts and an ample/tight capacity
+// split. Churn retires the newest half of the live population each
+// round, newest first, so packet riders always precede their circuit
+// hosts into EvictBatch.
+func TestPodBatchWorkersMatchSerial(t *testing.T) {
 	scenarios := []struct {
 		name                      string
 		racks, computes, memories int
@@ -107,64 +106,62 @@ func TestSpeculativeAdmitMatchesReference(t *testing.T) {
 	}
 	for _, policy := range []Policy{PolicyPowerAware, PolicySpread} {
 		for _, sc := range scenarios {
-			for _, workers := range []int{1, 4, 8} {
+			for _, workers := range []int{2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", policy, sc.name, workers), func(t *testing.T) {
 					cfg := DefaultConfig
 					cfg.Policy = policy
 					cfg.PacketFallback = true
-					refCfg := cfg
-					refCfg.NoSpeculate = true
-					ref := buildBatchPod(t, sc.racks, sc.computes, sc.memories, sc.memCap, refCfg)
-					spec := buildBatchPod(t, sc.racks, sc.computes, sc.memories, sc.memCap, cfg)
+					ref := buildBatchPod(t, sc.racks, sc.computes, sc.memories, sc.memCap, cfg)
+					par := buildBatchPod(t, sc.racks, sc.computes, sc.memories, sc.memCap, cfg)
 					ref.PowerOnAll()
-					spec.PowerOnAll()
+					par.PowerOnAll()
 
 					rng := sim.NewRand(61)
 					var placed []AdmitResult
 					var live []admittedPair
 					for round := 0; round < sc.rounds; round++ {
 						reqs := sc.gen(rng, sc.n, round, placed)
-						refOut, refErr := ref.AdmitBatch(reqs, workers)
-						specOut, specErr := spec.AdmitBatch(append([]AdmitRequest(nil), reqs...), workers)
-						if !sameErr(t, fmt.Sprintf("round %d admit", round), refErr, specErr) {
+						refOut, refErr := ref.AdmitBatch(reqs, 1)
+						parOut, parErr := par.AdmitBatch(append([]AdmitRequest(nil), reqs...), workers)
+						if !sameErr(t, fmt.Sprintf("round %d admit", round), refErr, parErr) {
 							continue
 						}
 						for i := range refOut {
-							if got, want := flattenResult(specOut[i]), flattenResult(refOut[i]); got != want {
-								t.Fatalf("round %d req %d: speculative %+v != reference %+v", round, i, got, want)
+							if got, want := flattenResult(parOut[i]), flattenResult(refOut[i]); got != want {
+								t.Fatalf("round %d req %d: parallel %+v != reference %+v", round, i, got, want)
 							}
 							placed = append(placed, refOut[i])
-							live = append(live, admittedPair{req: reqs[i], ref: refOut[i], spec: specOut[i]})
+							live = append(live, admittedPair{req: reqs[i], ref: refOut[i], par: parOut[i]})
 						}
 
-						var refEv, specEv []EvictRequest
+						var refEv, parEv []EvictRequest
 						half := len(live) / 2
 						for k := len(live) - 1; k >= half; k-- {
-							r, s := evictPair(live[k])
+							r, p := evictPair(live[k])
 							refEv = append(refEv, r)
-							specEv = append(specEv, s)
+							parEv = append(parEv, p)
 						}
 						live = live[:half]
-						refEvOut, refEvErr := ref.EvictBatch(refEv, workers)
-						specEvOut, specEvErr := spec.EvictBatch(specEv, workers)
-						if !sameErr(t, fmt.Sprintf("round %d evict", round), refEvErr, specEvErr) {
+						refEvOut, refEvErr := ref.EvictBatch(refEv, 1)
+						parEvOut, parEvErr := par.EvictBatch(parEv, workers)
+						if !sameErr(t, fmt.Sprintf("round %d evict", round), refEvErr, parEvErr) {
 							continue
 						}
 						for i := range refEvOut {
-							if refEvOut[i] != specEvOut[i] {
-								t.Fatalf("round %d evict %d: speculative %+v != reference %+v",
-									round, i, specEvOut[i], refEvOut[i])
+							if refEvOut[i] != parEvOut[i] {
+								t.Fatalf("round %d evict %d: parallel %+v != reference %+v",
+									round, i, parEvOut[i], refEvOut[i])
 							}
 						}
 					}
 
-					if got, want := podSnapshotJSON(t, spec), podSnapshotJSON(t, ref); got != want {
-						t.Fatalf("final pod snapshots diverge:\nspeculative:\n%s\nreference:\n%s", got, want)
+					if got, want := podSnapshotJSON(t, par), podSnapshotJSON(t, ref); got != want {
+						t.Fatalf("final pod snapshots diverge:\nparallel:\n%s\nreference:\n%s", got, want)
 					}
 					rr, rf, rs := ref.Stats()
-					sr, sf, ss := spec.Stats()
-					if rr != sr || rf != sf || rs != ss {
-						t.Fatalf("pod counters diverge: reference %d/%d/%d, speculative %d/%d/%d", rr, rf, rs, sr, sf, ss)
+					pr, pf, ps := par.Stats()
+					if rr != pr || rf != pf || rs != ps {
+						t.Fatalf("pod counters diverge: reference %d/%d/%d, parallel %d/%d/%d", rr, rf, rs, pr, pf, ps)
 					}
 				})
 			}
@@ -172,10 +169,10 @@ func TestSpeculativeAdmitMatchesReference(t *testing.T) {
 	}
 }
 
-// rowSpecRequests builds a mixed row-tier admission trace: VM boots with
+// rowMixedRequests builds a mixed row-tier admission trace: VM boots with
 // and without remote memory, plus attach-only scale-ups against CPUs the
 // trace already placed (carrying their full row coordinates).
-func rowSpecRequests(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitRequest {
+func rowMixedRequests(rng *sim.Rand, n, round int, placed []AdmitResult) []AdmitRequest {
 	reqs := make([]AdmitRequest, 0, n)
 	for i := 0; i < n; i++ {
 		owner := fmt.Sprintf("vm-%d-%d", round, i)
@@ -205,66 +202,69 @@ func rowResultKey(r AdmitResult) string {
 	return fmt.Sprintf("pod%d/%+v", r.Pod, flattenResult(r))
 }
 
-// TestSpeculativeRowAdmitMatchesReference is the row-tier equivalence
-// property: the same churn scheme one tier up, on a row small enough
-// that bursts saturate pods and spill cross-pod — driving the row's
-// speculative partition, cross-pod spill pre-planning and cross-pod
-// teardown pre-location against the serial reference.
-func TestSpeculativeRowAdmitMatchesReference(t *testing.T) {
+// TestRowBatchWorkersMatchSerial is the row-tier equivalence property:
+// the same churn scheme one tier up, on a row small enough that bursts
+// saturate pods and spill cross-pod — driving the row's sharded plan and
+// commit waves, cross-pod spills and cross-pod teardowns against the
+// workers=1 reference.
+func TestRowBatchWorkersMatchSerial(t *testing.T) {
 	for _, policy := range []Policy{PolicyPowerAware, PolicySpread} {
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", policy, workers), func(t *testing.T) {
 				cfg := DefaultConfig
 				cfg.Policy = policy
 				cfg.PacketFallback = true
-				refCfg := cfg
-				refCfg.NoSpeculate = true
-				ref := buildRowSched(t, 4, 2, 2*brick.GiB, refCfg)
-				spec := buildRowSched(t, 4, 2, 2*brick.GiB, cfg)
+				ref := buildRowSched(t, 4, 2, 2*brick.GiB, cfg)
+				par := buildRowSched(t, 4, 2, 2*brick.GiB, cfg)
 				ref.PowerOnAll()
-				spec.PowerOnAll()
+				par.PowerOnAll()
 
 				rng := sim.NewRand(73)
 				var placed []AdmitResult
 				var live []admittedPair
 				for round := 0; round < 4; round++ {
-					reqs := rowSpecRequests(rng, 32, round, placed)
-					refOut, refErr := ref.AdmitBatch(reqs, workers)
-					specOut, specErr := spec.AdmitBatch(append([]AdmitRequest(nil), reqs...), workers)
-					if !sameErr(t, fmt.Sprintf("round %d admit", round), refErr, specErr) {
+					reqs := rowMixedRequests(rng, 32, round, placed)
+					refOut, refErr := ref.AdmitBatch(reqs, 1)
+					parOut, parErr := par.AdmitBatch(append([]AdmitRequest(nil), reqs...), workers)
+					if !sameErr(t, fmt.Sprintf("round %d admit", round), refErr, parErr) {
 						continue
 					}
 					for i := range refOut {
-						if got, want := rowResultKey(specOut[i]), rowResultKey(refOut[i]); got != want {
-							t.Fatalf("round %d req %d: speculative %s != reference %s", round, i, got, want)
+						if got, want := rowResultKey(parOut[i]), rowResultKey(refOut[i]); got != want {
+							t.Fatalf("round %d req %d: parallel %s != reference %s", round, i, got, want)
 						}
 						placed = append(placed, refOut[i])
-						live = append(live, admittedPair{req: reqs[i], ref: refOut[i], spec: specOut[i]})
+						live = append(live, admittedPair{req: reqs[i], ref: refOut[i], par: parOut[i]})
 					}
 
-					var refEv, specEv []EvictRequest
+					var refEv, parEv []EvictRequest
 					half := len(live) / 2
 					for k := len(live) - 1; k >= half; k-- {
-						r, s := evictPair(live[k])
+						r, p := evictPair(live[k])
 						refEv = append(refEv, r)
-						specEv = append(specEv, s)
+						parEv = append(parEv, p)
 					}
 					live = live[:half]
-					refEvOut, refEvErr := ref.EvictBatch(refEv, workers)
-					specEvOut, specEvErr := spec.EvictBatch(specEv, workers)
-					if !sameErr(t, fmt.Sprintf("round %d evict", round), refEvErr, specEvErr) {
+					refEvOut, refEvErr := ref.EvictBatch(refEv, 1)
+					parEvOut, parEvErr := par.EvictBatch(parEv, workers)
+					if !sameErr(t, fmt.Sprintf("round %d evict", round), refEvErr, parEvErr) {
 						continue
 					}
 					for i := range refEvOut {
-						if refEvOut[i] != specEvOut[i] {
-							t.Fatalf("round %d evict %d: speculative %+v != reference %+v",
-								round, i, specEvOut[i], refEvOut[i])
+						if refEvOut[i] != parEvOut[i] {
+							t.Fatalf("round %d evict %d: parallel %+v != reference %+v",
+								round, i, parEvOut[i], refEvOut[i])
 						}
 					}
 				}
 
-				if got, want := rowFingerprint(t, spec, true), rowFingerprint(t, ref, true); got != want {
-					t.Fatalf("final row fingerprints diverge:\nspeculative:\n%s\nreference:\n%s", got, want)
+				if got, want := rowFingerprint(t, par, true), rowFingerprint(t, ref, true); got != want {
+					t.Fatalf("final row fingerprints diverge:\nparallel:\n%s\nreference:\n%s", got, want)
+				}
+				rr, rf, rs := ref.Stats()
+				pr, pf, ps := par.Stats()
+				if rr != pr || rf != pf || rs != ps {
+					t.Fatalf("row counters diverge: reference %d/%d/%d, parallel %d/%d/%d", rr, rf, rs, pr, pf, ps)
 				}
 			})
 		}

@@ -3,28 +3,23 @@ package sdm
 // Batched group-commit admission, pod tier. AdmitBatch serves a whole
 // scale-up burst in three deterministic phases:
 //
-//  1. Partition (speculative parallel): every request is assigned a
-//     rack by the same O(1) index-root aggregates the per-request rack
-//     choice reads — free-core rank sums and feasibility maxima —
-//     adjusted by the cores already planned onto each rack, so a burst
-//     spreads (or packs) the way the policy would have placed it one
-//     by one. Large bursts run the loop speculatively on workers with
-//     a serial O(1)-per-request validation pass (speculate.go),
-//     byte-identical to the serial reference partitioner.
+//  1. Partition (serial): every request is assigned a rack by the same
+//     O(1) index-root aggregates the per-request rack choice reads —
+//     free-core rank sums and feasibility maxima — adjusted by the
+//     cores already planned onto each rack, so a burst spreads (or
+//     packs) the way the policy would have placed it one by one.
 //  2. Plan (parallel): each rack's sub-batch runs through its own
 //     Controller.PlaceBatch on a worker goroutine. Rack shards share
 //     nothing on this path — every controller owns its bricks, fabric
 //     and indexes — so there are no locks, and each shard's outcome is
 //     a pure function of its pre-batch state and its sub-batch. The
 //     result is byte-identical at any worker count.
-//  3. Merge (serial commit, parallel pre-plan): leftovers — requests
-//     whose rack could not serve the remote part locally, or whose
-//     planned rack turned out full — resolve in request order through
-//     the sequential spill machinery (cross-rack circuits through the
-//     pod switch, then the pod-tier packet fallback), exactly as the
-//     per-request path would; spill targets are pre-planned on workers
-//     and revalidated in O(1) before committing, counters fold once
-//     per batch, and only the leftover list is walked.
+//  3. Merge (serial): leftovers — requests whose rack could not serve
+//     the remote part locally, or whose planned rack turned out full —
+//     resolve in request order through the sequential spill machinery
+//     (cross-rack circuits through the pod switch, then the pod-tier
+//     packet fallback), exactly as the per-request path would; counters
+//     fold once per batch, and only the leftover list is walked.
 //
 // Admission is all-or-nothing: if any request definitively fails, every
 // committed admission is torn down in reverse order and the spill
@@ -33,7 +28,6 @@ package sdm
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/brick"
 	"repro/internal/topo"
@@ -109,17 +103,13 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 			rackOf[i] = req.Rack
 		}
 	}
-	// Speculative parallel partition (speculate.go); the serial
-	// reference loop runs the identical per-request step when
-	// speculation is disengaged. The first compute placement takes the
-	// exact per-request rack choice either way — which also makes a
-	// batch of one reproduce the sequential path bit for bit.
-	if !s.specPartition(reqs, rackOf, plannedCores, workers) {
-		plannedAny := false
-		for i := range reqs {
-			if reqs[i].VCPUs > 0 {
-				rackOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
-			}
+	// The first compute placement takes the exact per-request rack
+	// choice — which also makes a batch of one reproduce the sequential
+	// path bit for bit.
+	plannedAny := false
+	for i := range reqs {
+		if reqs[i].VCPUs > 0 {
+			rackOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
 		}
 	}
 
@@ -175,7 +165,7 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 	// every settled request.
 	retry := sc.retry[:len(reqs)]
 	clear(retry)
-	leftover, spills := s.spec.leftover[:0], s.spec.spills[:0]
+	leftover := sc.leftover[:0]
 	var batchReqs uint64
 	for i := range reqs {
 		if pos[i] < 0 {
@@ -208,21 +198,12 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		if out[i].needSpill {
 			leftover = append(leftover, i)
-			spills = append(spills, i)
 		}
 	}
 	s.requests += batchReqs
-	s.spec.leftover, s.spec.spills = leftover, spills
-
-	// Pre-plan the spills on workers against the committed state; the
-	// merge revalidates each hint in O(1) (speculate.go).
-	var hints []spillHint
-	if s.planSpills(reqs, out, workers) {
-		hints = s.spec.hints[:len(spills)]
-	}
+	sc.leftover = leftover
 
 	// Phase 3b — merge leftovers in request order.
-	hinted := 0
 	for _, i := range leftover {
 		req := &reqs[i]
 		if retry[i] {
@@ -247,12 +228,7 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		// Every non-retry leftover needs the cross-rack spill.
 		res := &out[i]
-		var hint *spillHint
-		if hints != nil {
-			hint = &hints[hinted]
-		}
-		hinted++
-		att, lat, err := s.attachCrossHinted(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote, hint)
+		att, lat, err := s.attachCross(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
 		if err != nil {
 			localErr := res.localErr
 			if localErr == nil {
@@ -267,6 +243,28 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		res.needSpill, res.localErr = false, nil
 	}
 	return nil
+}
+
+// partitionStep runs one request through the serial partition: the
+// full per-request rack choice while nothing is planned yet, the
+// planned-adjusted arithmetic choice afterwards. It consumes from
+// plannedCores on success and returns the chosen rack (-1 for a
+// leftover).
+func (s *PodScheduler) partitionStep(req *AdmitRequest, plannedCores []int, plannedAny *bool) int {
+	if !*plannedAny {
+		rack, ok := s.pickComputeRackExcept(req.VCPUs, req.LocalMem, -1)
+		if !ok {
+			return -1
+		}
+		plannedCores[rack] += req.VCPUs
+		*plannedAny = true
+		return rack
+	}
+	r := s.pickComputeRackPlanned(req.VCPUs, req.LocalMem, plannedCores)
+	if r >= 0 {
+		plannedCores[r] += req.VCPUs
+	}
+	return r
 }
 
 // pickComputeRackPlanned applies the placement policy to rack choice
@@ -299,9 +297,7 @@ func (s *PodScheduler) pickComputeRackPlanned(vcpus int, localMem brick.Bytes, p
 // most workers goroutines (<= 0 meaning GOMAXPROCS). Rack shards are
 // disjoint, so scheduling order cannot affect the outcome.
 func (s *PodScheduler) forEachRack(workers int, racks []int, fn func(r int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = resolveWorkers(workers)
 	if workers <= 1 || len(racks) <= 1 {
 		for _, r := range racks {
 			fn(r)

@@ -13,11 +13,9 @@ package sdm
 //     Controller.ReleaseBatch on a worker goroutine — shared-nothing
 //     rack shards, so the outcome is byte-identical at any worker
 //     count, with one deferred index-leaf refresh per touched brick.
-//  3. Cross phase (serial commit, parallel pre-plan): cross-rack
-//     attachments detach in request order through the same steps as
-//     detachCross, journaled like the rack teardowns; their list and
-//     circuit-host positions are pre-located on workers and revalidated
-//     by pointer identity before each splice.
+//  3. Cross phase (serial): cross-rack attachments detach in request
+//     order through the same steps as detachCross, journaled like the
+//     rack teardowns.
 //
 // Eviction is all-or-nothing: if any teardown definitively fails, the
 // journals replay in reverse — segments re-carve at their exact
@@ -215,17 +213,9 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		out[i].Detached = subOut[pos[i]].Detached
 	}
 
-	// Phase 3 — cross-rack teardowns in request order. The attachment
-	// list and circuit-host positions of every cross item are looked up
-	// on worker goroutines first (speculate.go); each commit revalidates
-	// its plan by pointer identity in O(1).
-	plans := s.planCrossDetach(crossQ, workers)
-	for k, ci := range crossQ {
-		var plan *crossPlan
-		if plans != nil {
-			plan = &plans[k]
-		}
-		lat, err := s.batchDetachCross(ci.att, plan, &podLog)
+	// Phase 3 — cross-rack teardowns in request order.
+	for _, ci := range crossQ {
+		lat, err := s.batchDetachCross(ci.att, &podLog)
 		if err != nil {
 			sc.podLog = podLog
 			return s.abortEvict(reqs, subReq, subOut, pos, podLog, seqStart, ci.req, err)
@@ -246,11 +236,8 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 
 // batchDetachCross mirrors detachCross — same validation, counters,
 // latency accounting and error surfaces, executed inline as one merged
-// commit — and journals the undo into the pod-phase log. plan, if
-// non-nil, carries pre-computed list positions (speculate.go); each is
-// checked by pointer identity before use, so a stale plan degrades to
-// the linear search rather than corrupting the splice.
-func (s *PodScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[]detachUndo) (sim.Duration, error) {
+// commit — and journals the undo into the pod-phase log.
+func (s *PodScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
 	s.requests++
 	rackA := s.racks[att.CPURack]
 	idx := -1
@@ -258,14 +245,10 @@ func (s *PodScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
 		list = rackA.attachments[id]
 	}
-	if plan != nil && plan.attIdx >= 0 && plan.attIdx < len(list) && list[plan.attIdx] == att {
-		idx = plan.attIdx
-	} else {
-		for i, a := range list {
-			if a == att {
-				idx = i
-				break
-			}
+	for i, a := range list {
+		if a == att {
+			idx = i
+			break
 		}
 	}
 	if idx == -1 {
@@ -347,14 +330,10 @@ func (s *PodScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 	}
 	hosts := s.crossHosts[att.CPURack][rackA.cpuPos(att.CPU)]
 	crossHostIdx := 0
-	if plan != nil && plan.hostIdx >= 0 && plan.hostIdx < len(hosts) && hosts[plan.hostIdx] == att {
-		crossHostIdx = plan.hostIdx
-	} else {
-		for i, a := range hosts {
-			if a == att {
-				crossHostIdx = i
-				break
-			}
+	for i, a := range hosts {
+		if a == att {
+			crossHostIdx = i
+			break
 		}
 	}
 	*log = append(*log, detachUndo{

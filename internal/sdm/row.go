@@ -66,11 +66,9 @@ type RowScheduler struct {
 	// steady burst train stops allocating.
 	evict rowEvictScratch
 	admit rowAdmitScratch
-	// spec holds the row's reused speculation buffers (speculate.go).
-	spec specScratch
-	// fo is the reusable fan-out scratch behind forEachPod,
-	// forEachShard and the speculation passes; the row's phases run
-	// sequentially, so one instance suffices (see fanout.go).
+	// fo is the reusable fan-out scratch behind forEachPod and
+	// forEachShard; the row's phases run sequentially, so one instance
+	// suffices (see fanout.go).
 	fo fanout
 	// The batch engines' wave closures, built once at construction:
 	// they read each batch's shard ranges through the reused scratch,
@@ -401,33 +399,11 @@ func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, siz
 // every completed step rolls back on failure. Exhaustion of circuit
 // resources cascades into the row-tier packet fallback.
 func (s *RowScheduler) attachCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return s.attachCrossHinted(owner, cpu, size, nil)
-}
-
-// attachCrossHinted is attachCross with an optional pre-planned spill
-// hint (speculate.go), revalidated in O(1) — max-gap screen, spread
-// bound, confirming picks — with the full pod scan as the fallback and
-// a doomed hint routed straight to the unhinted error surface.
-func (s *RowScheduler) attachCrossHinted(owner string, cpu topo.RowBrickID, size brick.Bytes, hint *spillHint) (*Attachment, sim.Duration, error) {
 	podA := s.pods[cpu.Pod]
 	rackA := podA.racks[cpu.Rack]
 	memPod := -1
 	op := planAttach(s.cfg, owner, size, rackA, cpu.Brick,
 		func() (memPick, bool, error) {
-			if hint != nil {
-				if hint.target == hintDoom {
-					return memPick{}, true, fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)
-				}
-				if t := hint.target; t != cpu.Pod && s.aggs[t].MaxGap() >= size &&
-					(s.cfg.Policy != PolicySpread || s.podFreeMemory(t) > hint.bound) {
-					if memRack, ok := s.pods[t].pickMemoryRack(size, -1); ok {
-						if memID, ok := s.pods[t].racks[memRack].pickMemory(size); ok {
-							memPod = t
-							return memPick{rack: s.pods[t].racks[memRack], rackIdx: memRack, brick: memID}, false, nil
-						}
-					}
-				}
-			}
 			p, ok := s.pickMemoryPod(size, cpu.Pod)
 			if !ok {
 				return memPick{}, true, fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)

@@ -4,15 +4,11 @@ package sdm
 // pod tier's three-phase engine one level up, with the plan *and*
 // commit phases sharded across workers:
 //
-//  1. Partition (speculative parallel): every request is assigned a
-//     pod by the same O(1) cached aggregates the per-request pod
-//     choice reads — pod free-core sums adjusted by the cores already
-//     planned onto each pod — so a burst spreads (or packs) across
-//     pods the way the policy would have placed it one by one, in
-//     O(pods) per request. Large bursts run the loop speculatively on
-//     workers with a serial O(1)-per-request validation pass
-//     (speculate.go), byte-identical to the serial reference
-//     partitioner.
+//  1. Partition (serial): every request is assigned a pod by the same
+//     O(1) cached aggregates the per-request pod choice reads — pod
+//     free-core sums adjusted by the cores already planned onto each
+//     pod — so a burst spreads (or packs) across pods the way the
+//     policy would have placed it one by one, in O(pods) per request.
 //  2. Plan + commit (parallel, three waves): 2a partitions each pod's
 //     sub-batch across its racks (one worker per pod); 2b is the flat
 //     commit wave — every (pod, rack) shard across the whole row
@@ -26,14 +22,12 @@ package sdm
 //     wave and flushed serially in (pod, rack) order before any
 //     pod- or row-tier pick reads it — a batched post-commit
 //     notifyAgg flush instead of per-touch propagation.
-//  3. Merge (serial commit, parallel pre-plan): leftovers — requests
-//     whose planned pod turned out full, or whose pod could not serve
-//     the remote part anywhere local — resolve in request order
-//     through the sequential row machinery (cross-pod circuits through
-//     the row switch, then the row-tier packet fallback), completing
-//     the rack→pod→row cascade exactly as the per-request path would.
-//     Cross-pod spill targets are pre-planned on workers and
-//     revalidated in O(1) before committing, counters fold once per
+//  3. Merge (serial): leftovers — requests whose planned pod turned
+//     out full, or whose pod could not serve the remote part anywhere
+//     local — resolve in request order through the sequential row
+//     machinery (cross-pod circuits through the row switch, then the
+//     row-tier packet fallback), completing the rack→pod→row cascade
+//     exactly as the per-request path would. Counters fold once per
 //     batch, and only the leftover list is walked. Latency accounting
 //     and the attachSeq stamp stay in this serial epilogue.
 //
@@ -46,7 +40,6 @@ package sdm
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/brick"
 	"repro/internal/topo"
@@ -72,6 +65,7 @@ type rowAdmitScratch struct {
 	fill         []int
 	active       []int
 	retry        []bool
+	leftover     []int
 	shards       []rackShard
 	podSeq       []uint64
 }
@@ -93,6 +87,9 @@ type admitScratch struct {
 	fill         []int
 	retry        []bool
 	active       []int
+	// leftover is the merge list of the pod's own AdmitBatch; row-driven
+	// shard calls never touch it.
+	leftover []int
 }
 
 // AdmitBatch admits a burst of requests row-wide using at most workers
@@ -176,17 +173,13 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 			podOf[i] = req.Pod
 		}
 	}
-	// Speculative parallel partition (speculate.go); the serial
-	// reference loop runs the identical per-request step when
-	// speculation is disengaged. The first compute placement takes the
-	// exact per-request pod choice either way — which also makes a
-	// batch of one reproduce the sequential path bit for bit.
-	if !s.specPartition(reqs, podOf, plannedCores, workers) {
-		plannedAny := false
-		for i := range reqs {
-			if reqs[i].VCPUs > 0 {
-				podOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
-			}
+	// The first compute placement takes the exact per-request pod
+	// choice — which also makes a batch of one reproduce the sequential
+	// path bit for bit.
+	plannedAny := false
+	for i := range reqs {
+		if reqs[i].VCPUs > 0 {
+			podOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
 		}
 	}
 
@@ -269,7 +262,7 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 	// spills.
 	retry := sc.retry[:len(reqs)]
 	clear(retry)
-	leftover, spills := s.spec.leftover[:0], s.spec.spills[:0]
+	leftover := sc.leftover[:0]
 	var batchReqs uint64
 	for i := range reqs {
 		if pos[i] < 0 {
@@ -303,22 +296,12 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		if out[i].needSpill {
 			leftover = append(leftover, i)
-			spills = append(spills, i)
 		}
 	}
 	s.requests += batchReqs
-	s.spec.leftover, s.spec.spills = leftover, spills
-
-	// Pre-plan the cross-pod spill targets on worker goroutines
-	// (speculate.go): phase 2 has quiesced, so the scan reads immutable
-	// aggregates; the merge loop revalidates each hint in O(1).
-	var hints []spillHint
-	if s.planSpills(reqs, out, workers) {
-		hints = s.spec.hints[:len(spills)]
-	}
+	sc.leftover = leftover
 
 	// Phase 3b — merge leftovers in request order.
-	hinted := 0
 	for _, i := range leftover {
 		req := &reqs[i]
 		if retry[i] {
@@ -343,12 +326,7 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 		// Every non-retry leftover needs the cross-pod spill.
 		res := &out[i]
-		var hint *spillHint
-		if hints != nil {
-			hint = &hints[hinted]
-		}
-		hinted++
-		att, lat, err := s.attachCrossHinted(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote, hint)
+		att, lat, err := s.attachCross(req.Owner, topo.RowBrickID{Pod: res.Pod, Rack: res.Rack, Brick: res.CPU}, req.Remote)
 		if err != nil {
 			localErr := res.localErr
 			if localErr == nil {
@@ -363,6 +341,25 @@ func (s *RowScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		res.needSpill, res.localErr = false, nil
 	}
 	return nil
+}
+
+// partitionStep is the row analog of the pod tier's: the serial pod
+// choice for one request, consuming from plannedCores on success.
+func (s *RowScheduler) partitionStep(req *AdmitRequest, plannedCores []int, plannedAny *bool) int {
+	if !*plannedAny {
+		pod, ok := s.pickComputePod(req.VCPUs, req.LocalMem)
+		if !ok {
+			return -1
+		}
+		plannedCores[pod] += req.VCPUs
+		*plannedAny = true
+		return pod
+	}
+	p := s.pickComputePodPlanned(req.VCPUs, req.LocalMem, plannedCores)
+	if p >= 0 {
+		plannedCores[p] += req.VCPUs
+	}
+	return p
 }
 
 // pickComputePodPlanned applies the placement policy to pod choice
@@ -396,9 +393,7 @@ func (s *RowScheduler) pickComputePodPlanned(vcpus int, localMem brick.Bytes, pl
 // disjoint — each pod scheduler owns its racks, fabrics, indexes and
 // aggregate summary — so scheduling order cannot affect the outcome.
 func (s *RowScheduler) forEachPod(workers int, pods []int, fn func(p int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = resolveWorkers(workers)
 	if workers <= 1 || len(pods) <= 1 {
 		for _, p := range pods {
 			fn(p)
@@ -414,9 +409,7 @@ func (s *RowScheduler) forEachPod(workers int, pods []int, fn func(p int)) {
 // deferred-rollup mode and only marks its own pending flag — so
 // scheduling order cannot affect the outcome.
 func (s *RowScheduler) forEachShard(workers int, shards []rackShard, fn func(sh rackShard)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = resolveWorkers(workers)
 	if workers <= 1 || len(shards) <= 1 {
 		for _, sh := range shards {
 			fn(sh)

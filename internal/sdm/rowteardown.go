@@ -13,11 +13,8 @@ package sdm
 //     PodScheduler.evictShard on a worker goroutine — the full pod
 //     teardown pipeline, serialized within the shard — so the outcome
 //     is byte-identical at any worker count.
-//  3. Cross phase (serial commit, parallel pre-plan): cross-pod
-//     attachments detach in request order, journaled like the pod and
-//     rack teardowns; their list and circuit-host positions are
-//     pre-located on workers and revalidated by pointer identity before
-//     each splice.
+//  3. Cross phase (serial): cross-pod attachments detach in request
+//     order, journaled like the pod and rack teardowns.
 //
 // Eviction is all-or-nothing: on any definitive failure the row
 // journal, every pod journal, and every rack journal replay in
@@ -215,16 +212,9 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		out[i].Detached = subOut[pos[i]].Detached
 	}
 
-	// Phase 3 — cross-pod teardowns in request order, with list and
-	// circuit-host positions pre-located on worker goroutines
-	// (speculate.go) and revalidated by pointer identity per commit.
-	plans := s.planCrossDetach(crossQ, workers)
-	for k, ci := range crossQ {
-		var plan *crossPlan
-		if plans != nil {
-			plan = &plans[k]
-		}
-		lat, err := s.batchDetachCross(ci.att, plan, &rowLog)
+	// Phase 3 — cross-pod teardowns in request order.
+	for _, ci := range crossQ {
+		lat, err := s.batchDetachCross(ci.att, &rowLog)
 		if err != nil {
 			sc.rowLog = rowLog
 			return s.abortEvict(reqs, rowLog, seqStart, podSeq, ci.req, err)
@@ -339,8 +329,7 @@ func (s *PodScheduler) evictShardMerge(reqs []EvictRequest, out []EvictResult) (
 	}
 
 	for _, ci := range crossQ {
-		// Shard merges run on row workers already; no nested pre-plan.
-		lat, err := s.batchDetachCross(ci.att, nil, &podLog)
+		lat, err := s.batchDetachCross(ci.att, &podLog)
 		if err != nil {
 			sc.podLog = podLog
 			return ci.req, err
@@ -355,10 +344,7 @@ func (s *PodScheduler) evictShardMerge(reqs []EvictRequest, out []EvictResult) (
 // batchDetachCross mirrors the row's detachCross — same validation,
 // counters, latency accounting and error surfaces, executed inline as
 // one merged commit — and journals the undo into the row-phase log.
-// plan, if non-nil, carries pre-computed list positions (speculate.go);
-// each is checked by pointer identity before use, so a stale plan
-// degrades to the linear search rather than corrupting the splice.
-func (s *RowScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[]detachUndo) (sim.Duration, error) {
+func (s *RowScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
 	s.requests++
 	rackA := s.pods[att.CPUPod].racks[att.CPURack]
 	idx := -1
@@ -366,14 +352,10 @@ func (s *RowScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
 		list = rackA.attachments[id]
 	}
-	if plan != nil && plan.attIdx >= 0 && plan.attIdx < len(list) && list[plan.attIdx] == att {
-		idx = plan.attIdx
-	} else {
-		for i, a := range list {
-			if a == att {
-				idx = i
-				break
-			}
+	for i, a := range list {
+		if a == att {
+			idx = i
+			break
 		}
 	}
 	if idx == -1 {
@@ -455,14 +437,10 @@ func (s *RowScheduler) batchDetachCross(att *Attachment, plan *crossPlan, log *[
 	}
 	hosts := s.crossHosts[att.CPUPod][att.CPURack][rackA.cpuPos(att.CPU)]
 	crossHostIdx := 0
-	if plan != nil && plan.hostIdx >= 0 && plan.hostIdx < len(hosts) && hosts[plan.hostIdx] == att {
-		crossHostIdx = plan.hostIdx
-	} else {
-		for i, a := range hosts {
-			if a == att {
-				crossHostIdx = i
-				break
-			}
+	for i, a := range hosts {
+		if a == att {
+			crossHostIdx = i
+			break
 		}
 	}
 	*log = append(*log, detachUndo{

@@ -98,12 +98,6 @@ type Config struct {
 	// Scan selects the placement engine: indexed (default) or the
 	// pre-index linear-scan baseline.
 	Scan ScanMode
-	// NoSpeculate disables the speculative parallel partition and the
-	// parallel spill/teardown pre-planning inside the group-commit
-	// engines, forcing the serial reference path. The zero value keeps
-	// speculation on; either way the results are byte-identical — the
-	// knob exists as the reference arm of equivalence tests and CI.
-	NoSpeculate bool
 }
 
 // DefaultConfig holds representative control-plane costs.
