@@ -13,21 +13,46 @@ import (
 // control-plane latency (decision time, plus boot time if the brick had
 // to be powered on).
 func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.BrickID, sim.Duration, error) {
+	return c.reserveCompute(vcpus, localMem, false)
+}
+
+// reserveCompute is ReserveCompute with the pick served from the batch
+// pick cache when cached is set — only placeBatch sets it, since only
+// admission keeps the cache's monotone-consumption invariant.
+func (c *Controller) reserveCompute(vcpus int, localMem brick.Bytes, cached bool) (topo.BrickID, sim.Duration, error) {
 	c.requests++
 	if vcpus <= 0 {
 		c.failures++
 		return topo.BrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
 	}
-	lat := c.cfg.DecisionLatency
-	id, ok := c.pickCompute(vcpus, localMem)
+	var id topo.BrickID
+	var ok bool
+	if cached {
+		id, ok = c.batchPickCompute(vcpus, localMem)
+	} else {
+		id, ok = c.pickCompute(vcpus, localMem)
+	}
 	if !ok {
 		c.failures++
 		return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick with %d free cores and %v local memory", vcpus, localMem)
 	}
+	return c.claimCompute(id, vcpus, localMem)
+}
+
+// claimCompute reserves vcpus cores and localMem brick-local memory on
+// the picked brick id — power-on (logged for batch rollback), cores,
+// local memory, index touch — and returns the brick with the
+// control-plane latency. It is the one compute-claim body behind every
+// reservation entry point.
+func (c *Controller) claimCompute(id topo.BrickID, vcpus int, localMem brick.Bytes) (topo.BrickID, sim.Duration, error) {
+	lat := c.cfg.DecisionLatency
 	node := c.compute(id)
 	if node.Brick.State() == brick.PowerOff {
 		node.Brick.PowerOn()
 		lat += c.cfg.BrickBoot
+		if c.batch != nil {
+			c.batch.cpuCache.valid = false
+		}
 		c.logBootCPU(id)
 	}
 	if err := node.Brick.AllocCores(vcpus); err != nil {
@@ -40,6 +65,7 @@ func (c *Controller) ReserveCompute(owner string, vcpus int, localMem brick.Byte
 			// prevented this, so any failure here is a bug surfaced loudly.
 			node.Brick.FreeCoresBack(vcpus)
 			c.touchCompute(id)
+			c.batch.invalidateCaches()
 			c.failures++
 			return topo.BrickID{}, 0, err
 		}
@@ -215,97 +241,42 @@ func (c *Controller) pickMemoryLinear(size brick.Bytes) (topo.BrickID, bool) {
 
 // AttachRemoteMemory performs the full orchestration sequence for one
 // memory attachment: select and reserve a segment, set up the circuit,
-// and push the TGL window to the compute brick's agent — one OpAttach
-// through the lifecycle engine, so on any failure every completed step
-// is rolled back, honouring the paper's "safely reserve" requirement.
-// The returned latency is the orchestration delay a scale-up request
-// observes before the OS-level hotplug begins.
+// and push the TGL window to the compute brick's agent; on any failure
+// every completed step is rolled back, honouring the paper's "safely
+// reserve" requirement. The returned latency is the orchestration delay
+// a scale-up request observes before the OS-level hotplug begins.
 func (c *Controller) AttachRemoteMemory(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	c.requests++
-	op := planAttach(c.cfg, owner, size, c, cpu,
-		func() (memPick, bool, error) {
-			id, ok := c.pickMemory(size)
-			if !ok {
-				return memPick{}, true, fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size)
-			}
-			return memPick{rack: c, rackIdx: 0, brick: id}, false, nil
-		},
-		func(int) connector { return c.rackTier() },
-		true,
-		func(att *Attachment, _ int) {
-			c.register(att)
-			p := c.cpuPos(cpu)
-			c.circuitHosts[p] = append(c.circuitHosts[p], att)
-		})
-	lat, err := op.Commit()
-	if err != nil {
-		if op.fallback && c.cfg.PacketFallback {
-			if att, fl, ferr := c.attachPacket(owner, cpu, size); ferr == nil {
-				return att, lat + fl, nil
-			}
-		}
-		c.failures++
-		return nil, 0, err
-	}
-	return op.att, lat, nil
+	return c.attachLocal(owner, cpu, size, false)
 }
 
-// DetachRemoteMemory tears an attachment down in reverse order and
-// returns the orchestration latency. Pod-tier cross-rack attachments
-// route to their owning pod scheduler, so rack-local callers need not
-// distinguish them.
+// DetachRemoteMemory tears an attachment down and returns the
+// orchestration latency; a refused detach leaves it live. Pod- and row-tier cross
+// attachments route to their owning scheduler, so rack-local callers
+// need not distinguish them.
 func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return att.crossRow.detachCross(att)
+	switch {
+	case att.crossRow != nil:
+		return att.crossRow.crossSite(att).detach(att, nil)
+	case att.cross != nil:
+		return att.cross.crossSite(att).detach(att, nil)
 	}
-	if att.cross != nil {
-		return att.cross.detachCross(att)
-	}
-	c.requests++
-	idx := -1
-	if id, ok := c.ownerIDs[att.Owner]; ok {
-		for i, a := range c.attachments[id] {
-			if a == att {
-				idx = i
-				break
-			}
+	return c.localSite().detach(att, nil)
+}
+
+// dropAtt removes att from list in place, preserving order.
+func dropAtt(list []*Attachment, att *Attachment) []*Attachment {
+	for i, a := range list {
+		if a == att {
+			return append(list[:i], list[i+1:]...)
 		}
 	}
-	if idx == -1 {
-		c.failures++
-		return 0, fmt.Errorf("sdm: attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	if att.Mode == ModePacket {
-		return c.detachPacket(att, idx)
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		c.failures++
-		return 0, fmt.Errorf("sdm: circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-	op := planDetach(c.cfg, att, c, c, c.rackTier(), func() {
-		c.unregister(att)
-		c.removeCircuitHost(att)
-	})
-	lat, err := op.Commit()
-	if err != nil {
-		c.failures++
-		return 0, err
-	}
-	return lat, nil
+	return list
 }
 
 // removeCircuitHost drops a circuit-mode attachment from the host index.
 func (c *Controller) removeCircuitHost(att *Attachment) {
-	p := c.cpuPos(att.CPU)
-	if p < 0 {
-		return
-	}
-	hosts := c.circuitHosts[p]
-	for i, a := range hosts {
-		if a == att {
-			c.circuitHosts[p] = append(hosts[:i], hosts[i+1:]...)
-			return
-		}
+	if p := c.cpuPos(att.CPU); p >= 0 {
+		c.circuitHosts[p] = dropAtt(c.circuitHosts[p], att)
 	}
 }
 

@@ -77,6 +77,37 @@ func TestRebalanceSweepAllocFree(t *testing.T) {
 	}
 }
 
+// TestPerRequestAttachDetachAllocs pins the per-request rack path to
+// the batch engine's inline bodies: a warmed AttachRemoteMemory +
+// DetachRemoteMemory cycle allocates at most one object — the
+// Attachment the caller keeps, since per-request detaches never recycle
+// it into the arena.
+func TestPerRequestAttachDetachAllocs(t *testing.T) {
+	c := buildBatchPod(t, 1, 2, 2, 4*brick.GiB, DefaultConfig).Rack(0)
+	cpu, _, err := c.ReserveCompute("vm", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		att, _, err := c.AttachRemoteMemory("vm", cpu, brick.GiB/4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DetachRemoteMemory(att); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // warm the owner table, segment and circuit arenas
+	}
+	if n := testing.AllocsPerRun(50, cycle); n > 1 {
+		t.Fatalf("per-request attach+detach cycle allocates %.1f/op, want <= 1", n)
+	}
+	if c.batch != nil {
+		t.Fatal("per-request calls built batch state")
+	}
+}
+
 // steadyChurn runs warmed admit→evict cycles over caller-held buffers
 // and returns the amortised allocations per full cycle. Every cycle
 // admits the same owners and evicts them again, so the schedulers'

@@ -23,17 +23,18 @@ package sdm
 //     leaves are flushed only when a fresh descent actually needs the
 //     tree (a pick-cache miss) and once more at batch end — one refresh
 //     per touched brick instead of one per op.
-//   - The attach sequence commits as one merged plan: the same steps as
-//     the lifecycle engine's OpAttach, in the same order with the same
-//     latency accounting and the same unwind-on-failure, but executed
-//     inline with explicit reverse-order releases instead of one
-//     closure per step, so a burst allocates no plan machinery.
+//   - The attach sequence commits inline, with explicit reverse-order
+//     releases instead of one closure per step, so a burst allocates no
+//     plan machinery.
 //
-// Selection is byte-identical to the per-request path: cache hits
-// return what a fresh descent would return (the invariant above), and
-// cache misses flush the dirty leaves first so the descent runs on an
-// exact tree. A batch of size 1 therefore reproduces the sequential
-// ReserveCompute + AttachRemoteMemory results bit for bit.
+// The compute claim (claimCompute) and the attach (attachLocal) are the
+// same bodies ReserveCompute and AttachRemoteMemory run — a batch only
+// adds the pick cache and the deferred index refreshes. Selection is
+// byte-identical to the per-request path: cache hits return what a
+// fresh descent would return (the invariant above), and cache misses
+// flush the dirty leaves first so the descent runs on an exact tree. A
+// batch of size 1 therefore reproduces the sequential ReserveCompute +
+// AttachRemoteMemory results bit for bit.
 
 import (
 	"errors"
@@ -114,10 +115,13 @@ type batchState struct {
 
 // invalidateCaches drops both pick caches — required whenever batch
 // execution returns capacity (a rollback) or flips a power state, the
-// two events that break the caches' monotone-consumption invariant.
+// two events that break the caches' monotone-consumption invariant. A
+// controller that never batched has no caches, so nil is a no-op.
 func (b *batchState) invalidateCaches() {
-	b.cpuCache.valid = false
-	b.memCache.valid = false
+	if b != nil {
+		b.cpuCache.valid = false
+		b.memCache.valid = false
+	}
 }
 
 // startBootLog begins recording the bricks this controller powers on
@@ -292,7 +296,7 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 	*res = AdmitResult{}
 	cpu := req.CPU
 	if req.VCPUs > 0 {
-		id, lat, err := c.batchReserveCompute(req.Owner, req.VCPUs, req.LocalMem)
+		id, lat, err := c.reserveCompute(req.VCPUs, req.LocalMem, true)
 		if err != nil {
 			res.Err = err
 			return
@@ -322,7 +326,7 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 		res.needSpill = true
 		return
 	}
-	att, lat, err := c.batchAttachLocal(req.Owner, cpu, req.Remote)
+	att, lat, err := c.attachLocal(req.Owner, cpu, req.Remote, true)
 	if err != nil {
 		if pod {
 			res.needSpill = true
@@ -375,50 +379,15 @@ func (c *Controller) RollbackBatch(reqs []AdmitRequest, out []AdmitResult) error
 	return first
 }
 
-// batchReserveCompute mirrors ReserveCompute through the batch planner:
-// same selection, same latency accounting, same counters.
-func (c *Controller) batchReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.BrickID, sim.Duration, error) {
-	c.requests++
-	if vcpus <= 0 {
-		c.failures++
-		return topo.BrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
-	}
-	lat := c.cfg.DecisionLatency
-	id, ok := c.batchPickCompute(vcpus, localMem)
-	if !ok {
-		c.failures++
-		return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick with %d free cores and %v local memory", vcpus, localMem)
-	}
-	node := c.compute(id)
-	if node.Brick.State() == brick.PowerOff {
-		node.Brick.PowerOn()
-		lat += c.cfg.BrickBoot
-		c.batch.cpuCache.valid = false
-		c.logBootCPU(id)
-	}
-	if err := node.Brick.AllocCores(vcpus); err != nil {
-		c.failures++
-		return topo.BrickID{}, 0, err
-	}
-	if localMem > 0 {
-		if err := node.Brick.AllocLocal(localMem); err != nil {
-			node.Brick.FreeCoresBack(vcpus)
-			c.touchCompute(id)
-			c.batch.invalidateCaches()
-			c.failures++
-			return topo.BrickID{}, 0, err
-		}
-	}
-	c.touchCompute(id)
-	return id, lat, nil
-}
-
-// batchAttachLocal mirrors AttachRemoteMemory's rack-local circuit
-// attach — the same steps in the same order as the lifecycle engine's
-// OpAttach, with the same latency accounting, counters, packet-fallback
-// cascade and quarantine-and-retry fault recovery — executed inline as
-// one merged commit with explicit reverse-order unwinding.
-func (c *Controller) batchAttachLocal(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+// attachLocal is the one rack-local attach body, behind both
+// AttachRemoteMemory and the batch planner: CPU-side port, memory
+// selection and power-up, segment carve, memory-side port, circuit
+// (with quarantine-and-retry fault recovery), TGL window, registration
+// — executed inline as one merged commit with explicit reverse-order
+// unwinding, cascading into the packet fallback when circuit resources
+// are exhausted. cached serves the memory pick from the batch pick
+// cache; only placeBatch sets it.
+func (c *Controller) attachLocal(owner string, cpu topo.BrickID, size brick.Bytes, cached bool) (*Attachment, sim.Duration, error) {
 	c.requests++
 	cpuOrd := c.cpuPos(cpu)
 	if cpuOrd < 0 {
@@ -460,14 +429,20 @@ func (c *Controller) batchAttachLocal(owner string, cpu topo.BrickID, size brick
 		return nil, 0, err
 	}
 
-	// CPU-side port first — the scarcest resource (see planAttach).
+	// The CPU-side port is the scarcest resource: claim it before any
+	// memory brick is selected (and possibly powered on), so that port
+	// exhaustion falls back to packet mode without wasted boots.
 	cpuPort, err := node.Brick.Ports.Acquire()
 	if err != nil {
 		fallback = true
 		return fail(err)
 	}
 	// Memory selection and power-up.
-	memID, ok = c.batchPickMemory(size)
+	if cached {
+		memID, ok = c.batchPickMemory(size)
+	} else {
+		memID, ok = c.pickMemory(size)
+	}
 	if !ok {
 		node.Brick.Ports.Release(cpuPort)
 		fallback = true
@@ -477,7 +452,9 @@ func (c *Controller) batchAttachLocal(owner string, cpu topo.BrickID, size brick
 	if m.State() == brick.PowerOff {
 		m.PowerOn()
 		lat += c.cfg.BrickBoot
-		c.batch.memCache.valid = false
+		if c.batch != nil {
+			c.batch.memCache.valid = false
+		}
 		c.logBootMem(memID)
 	}
 	// Segment carve.
@@ -494,7 +471,10 @@ func (c *Controller) batchAttachLocal(owner string, cpu topo.BrickID, size brick
 		fallback = true
 		return fail(err)
 	}
-	// Circuit setup with the rack tier's quarantine-and-retry recovery.
+	// Circuit setup. An optical path fault quarantines the failed
+	// endpoint and retries through another port; the quarantined port
+	// stays withdrawn for the operator, and the retry bound covers the
+	// worst case of every port failing.
 	t := c.rackTier()
 	var circuit *optical.Circuit
 	maxRetries := node.Brick.Ports.Total() + m.Ports.Total()

@@ -1,5 +1,24 @@
 package sdm
 
+// crossTier is the bookkeeping a pod or row scheduler keeps for the
+// attachments it spills across its tier, embedded in both: their
+// oldest-first walk order (each stamped with a seq from attachSeq), the
+// tier's counters and its spill count.
+type crossTier struct {
+	tally
+	cross     crossList
+	attachSeq uint64
+	spills    uint64
+}
+
+// addCrossOrder stamps an attachment with the next spill sequence
+// number and appends it to the oldest-first walk order.
+func (t *crossTier) addCrossOrder(att *Attachment) {
+	t.attachSeq++
+	att.seq = t.attachSeq
+	t.cross.pushBack(att)
+}
+
 // crossList is the intrusive, oldest-first walk order of a tier's live
 // cross-tier attachments, threaded through the attachments' own
 // crossPrev/crossNext fields — the dense replacement for the old

@@ -4,7 +4,8 @@ package sdm
 // quiesced batch — admission, eviction, rebalance, consolidation — the
 // scheduler's derived state (index roots, registration indexes, rider
 // counts, the rebalancer walk order, the power census) must answer
-// exactly what a ground-truth rescan of the bricks answers. The checker
+// exactly what a ground-truth rescan of the bricks answers, and every
+// registered attachment's datapath (window and circuit) must be live. The checker
 // is O(everything) by design: it is a test oracle, not a hot path.
 
 import (
@@ -26,6 +27,9 @@ func (s *PodScheduler) CheckInvariants() error {
 			return fmt.Errorf("rack %d: invariants checked mid-batch", ri)
 		}
 		if err := r.checkRack(ri); err != nil {
+			return err
+		}
+		if err := r.checkDatapath(ri); err != nil {
 			return err
 		}
 		rackRiders := make(map[*optical.Circuit]int)
@@ -152,6 +156,25 @@ func (s *PodScheduler) CheckInvariants() error {
 	if len(liveSegs) > 0 {
 		for _, att := range liveSegs {
 			return fmt.Errorf("attachment of %q holds a segment no memory brick carries", att.Owner)
+		}
+	}
+	return nil
+}
+
+// checkDatapath checks that every attachment registered on this
+// (compute) rack is usable end to end: its TGL window translates on its
+// compute brick's agent, and its circuit — its own, or the host circuit
+// a packet rider shares — is the live circuit on its CPU port in the
+// rack fabric, where circuits of every tier register their endpoints.
+func (c *Controller) checkDatapath(ri int) error {
+	for _, list := range c.attachments {
+		for _, att := range list {
+			if _, err := c.compute(att.CPU).Agent.Glue.Translate(att.Window.Base); err != nil {
+				return fmt.Errorf("rack %d: window of %q does not translate: %v", ri, att.Owner, err)
+			}
+			if live, ok := c.fabric.CircuitAt(att.CPUPort); !ok || live != att.Circuit {
+				return fmt.Errorf("rack %d: circuit of %q is not live on its CPU port %v", ri, att.Owner, att.CPUPort)
+			}
 		}
 	}
 	return nil

@@ -1,17 +1,18 @@
 package sdm
 
-// The attachment lifecycle engine: every mutation of a live
-// remote-memory attachment — attach, detach, re-point of the compute
-// end, re-home of the memory end, and the cross-rack→rack-local
-// promotion the rebalancer runs — executes as one AttachmentOp, a plan
-// of reversible steps committed atomically. The engine owns circuit
-// setup and teardown on both optical tiers (the rack fabric and the
-// pod switch's uplinks), the TGL window moves, rider safety, and the
-// per-rack registration indexes; alloc.go, reattach.go and pod.go are
-// thin callers that select resources, build a plan and commit it.
+// The attachment lifecycle engine: the moves of a live remote-memory
+// attachment — cross-tier attach, re-point of the compute end, re-home
+// of the memory end, and the cross-rack→rack-local promotion the
+// rebalancer runs — execute as one AttachmentOp, a plan of reversible
+// steps committed atomically. The engine owns circuit setup and
+// teardown across the optical tiers (the rack fabric and the pod and
+// row switches' uplinks), the TGL window moves and rider safety;
+// reattach.go, rebalance.go, pod.go and row.go are thin callers that
+// select resources, build a plan and commit it. Rack-local attach and
+// every detach run the inline bodies instead (attachLocal in batch.go,
+// detachSite.detach in teardown.go), which allocate nothing per call.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/brick"
@@ -276,19 +277,18 @@ type memPick struct {
 	brick   topo.BrickID
 }
 
-// planAttach builds the circuit-mode attach plan shared by both tiers:
-// CPU-side port, memory selection and power-up, segment carve,
-// memory-side port, circuit, TGL window, registration. pick applies
-// the tier's placement policy (returning exhausted=true when the
-// failure should cascade into the packet fallback); tierFor supplies
-// the circuit fabric for the chosen memory rack; faultRetry enables
-// the rack tier's quarantine-and-retry recovery; register installs the
-// finished attachment into the owning indexes and cannot fail.
+// planAttach builds the cross-tier attach plan the pod and row spill
+// paths share: CPU-side port, memory selection and power-up, segment
+// carve, memory-side port, circuit, TGL window, registration. pick
+// applies the tier's placement policy (returning exhausted=true when
+// the failure should cascade into the packet fallback); tierFor
+// supplies the circuit fabric for the chosen memory rack; register
+// installs the finished attachment into the owning indexes and cannot
+// fail. (Rack-local attaches run the inline attachLocal body.)
 func planAttach(cfg Config, owner string, size brick.Bytes,
 	rackA *Controller, cpu topo.BrickID,
 	pick func() (memPick, bool, error),
 	tierFor func(memRack int) connector,
-	faultRetry bool,
 	register func(att *Attachment, memRack int)) *AttachmentOp {
 
 	op := newOp(OpAttach)
@@ -362,50 +362,15 @@ func planAttach(cfg Config, owner string, size brick.Bytes,
 		memPort = p
 		return 0, nil
 	}, func() error { m.Ports.Release(memPort); return nil })
-	// Circuit setup. The rack tier recovers from optical path faults by
-	// quarantining the failed endpoint and retrying through another
-	// port; the retry bound covers the worst case of every port failing.
+	// Circuit setup.
 	op.step(func() (sim.Duration, error) {
-		t := tierFor(chosen.rackIdx)
-		if !faultRetry {
-			c, reconfig, err := t.connect(cpuPort, memPort)
-			if err != nil {
-				op.fallback = true
-				return 0, err
-			}
-			circuit = c
-			return reconfig, nil
+		c, reconfig, err := tierFor(chosen.rackIdx).connect(cpuPort, memPort)
+		if err != nil {
+			op.fallback = true
+			return 0, err
 		}
-		maxRetries := node.Brick.Ports.Total() + m.Ports.Total()
-		for retry := 0; ; retry++ {
-			c, reconfig, err := t.connect(cpuPort, memPort)
-			if err == nil {
-				circuit = c
-				return reconfig, nil
-			}
-			var pf *optical.PortFailedError
-			if !errors.As(err, &pf) || retry >= maxRetries {
-				return 0, err
-			}
-			// Quarantine the faulty endpoint and acquire a replacement.
-			// The quarantined port stays withdrawn for the operator (its
-			// release undo is a no-op on a quarantined port); the healthy
-			// side is restored by the ordinary rollback.
-			cpuSideFailed := pf.Port == cpuPort
-			var reacquireErr error
-			if cpuSideFailed {
-				if reacquireErr = node.Brick.Ports.Quarantine(cpuPort); reacquireErr == nil {
-					cpuPort, reacquireErr = node.Brick.Ports.Acquire()
-				}
-			} else {
-				if reacquireErr = m.Ports.Quarantine(memPort); reacquireErr == nil {
-					memPort, reacquireErr = m.Ports.Acquire()
-				}
-			}
-			if reacquireErr != nil {
-				return 0, fmt.Errorf("sdm: circuit fault recovery exhausted ports: %w", reacquireErr)
-			}
-		}
+		circuit = c
+		return reconfig, nil
 	}, func() error {
 		_, err := tierFor(chosen.rackIdx).disconnect(circuit)
 		return err
@@ -439,52 +404,6 @@ func planAttach(cfg Config, owner string, size brick.Bytes,
 		att.Mode = ModeCircuit
 		op.att = att
 		register(op.att, chosen.rackIdx)
-		return 0, nil
-	}, nil)
-	return op
-}
-
-// planDetach builds the teardown plan shared by both tiers, the exact
-// reverse of planAttach: window, circuit, ports, segment,
-// unregistration. Validation (liveness, packet mode, riders) is the
-// thin caller's job; t carries the attachment's circuit tier.
-func planDetach(cfg Config, att *Attachment, rackA, rackB *Controller, t connector, unregister func()) *AttachmentOp {
-	op := newOp(OpDetach)
-	node := rackA.compute(att.CPU)
-	m := rackB.memory(att.Segment.Brick)
-	op.charge(cfg.DecisionLatency)
-	cpu, memID := att.CPU, att.Segment.Brick
-	op.touch(func() { rackA.touchCompute(cpu) })
-	op.touch(func() { rackB.touchMemory(memID) })
-
-	oldWindow := att.Window
-	op.step(func() (sim.Duration, error) {
-		if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-			return 0, err
-		}
-		return cfg.AgentRTT, nil
-	}, func() error { return node.Agent.Glue.Attach(oldWindow) })
-	op.step(func() (sim.Duration, error) {
-		return t.disconnect(att.Circuit)
-	}, func() error {
-		c, _, err := t.connect(att.CPUPort, att.MemPort)
-		if err != nil {
-			return err
-		}
-		att.Circuit = c
-		return nil
-	})
-	op.step(func() (sim.Duration, error) {
-		if err := node.Brick.Ports.Release(att.CPUPort); err != nil {
-			return 0, err
-		}
-		if err := m.Ports.Release(att.MemPort); err != nil {
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			return 0, err
-		}
-		unregister()
 		return 0, nil
 	}, nil)
 	return op

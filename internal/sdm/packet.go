@@ -87,28 +87,6 @@ func (c *Controller) attachPacket(owner string, cpu topo.BrickID, size brick.Byt
 	return att, c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
 }
 
-// detachPacket releases a packet-mode attachment.
-func (c *Controller) detachPacket(att *Attachment, idx int) (sim.Duration, error) {
-	node := c.compute(att.CPU)
-	memID := att.Segment.Brick
-	m := c.memory(memID)
-	if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-		c.failures++
-		return 0, err
-	}
-	if err := m.Release(att.Segment); err != nil {
-		c.failures++
-		return 0, err
-	}
-	if att.Circuit.Riders > 0 {
-		att.Circuit.Riders--
-	}
-	list := c.attachments[att.ownerID]
-	c.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
-	c.touchMemory(memID)
-	return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
-}
-
 // Riders returns how many packet-mode attachments share the circuit of
 // the given circuit-mode attachment. The count lives on the circuit
 // itself regardless of which tier owns it.

@@ -41,12 +41,11 @@ type PodScheduler struct {
 	// (Packet-rider counts live on the circuits: optical.Circuit.Riders.)
 	crossHosts [][][]*Attachment
 
-	// cross lists every live cross-rack attachment in spill order (each
-	// stamped with a seq from attachSeq) — the oldest-first walk order of
-	// the rebalancer, threaded intrusively through the attachments so
+	// crossTier's walk order lists every live cross-rack attachment in
+	// spill order — the oldest-first walk order of the rebalancer,
+	// threaded intrusively through the attachments so
 	// Repoint/Rebalance/detach remove in O(1) with no pointer-keyed map.
-	cross     crossList
-	attachSeq uint64
+	crossTier
 
 	// tierConns caches the cross-rack connectors per rack pair (see
 	// tier in lifecycle.go).
@@ -75,9 +74,6 @@ type PodScheduler struct {
 	admitWave func(r int)
 	evictWave func(r int)
 
-	requests uint64
-	failures uint64
-	spills   uint64
 	promoted uint64
 }
 
@@ -372,7 +368,6 @@ func (s *PodScheduler) attachCross(owner string, cpu topo.PodBrickID, size brick
 			return memPick{rack: s.racks[memRack], rackIdx: memRack, brick: memID}, false, nil
 		},
 		func(memRack int) connector { return s.tier(cpu.Rack, memRack) },
-		false,
 		func(att *Attachment, memRack int) {
 			att.CPURack, att.MemRack = cpu.Rack, memRack
 			att.cross = s
@@ -391,20 +386,6 @@ func (s *PodScheduler) attachCross(owner string, cpu topo.PodBrickID, size brick
 		return nil, 0, err
 	}
 	return op.att, lat, nil
-}
-
-// addCrossOrder stamps an attachment with the next spill sequence
-// number and appends it to the rebalancer's oldest-first walk order.
-func (s *PodScheduler) addCrossOrder(att *Attachment) {
-	s.attachSeq++
-	att.seq = s.attachSeq
-	s.cross.pushBack(att)
-}
-
-// removeCrossOrder drops an attachment from the rebalancer walk order
-// in O(1) by unlinking it in place.
-func (s *PodScheduler) removeCrossOrder(att *Attachment) {
-	s.cross.remove(att)
 }
 
 // attachPacketCross preserves the packet fallback across the pod tier:
@@ -467,14 +448,14 @@ func (s *PodScheduler) attachPacketCross(owner string, cpu topo.PodBrickID, size
 }
 
 // DetachRemoteMemory tears a pod attachment down: rack-local ones
-// delegate to their rack's controller, cross-rack ones to detachCross
+// delegate to their rack's controller, cross ones to their tier's site
 // (the routing lives on the attachment, so either entry point works).
 func (s *PodScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 	if att.crossRow != nil {
-		return att.crossRow.detachCross(att)
+		return att.crossRow.crossSite(att).detach(att, nil)
 	}
 	if att.cross != nil {
-		return s.detachCross(att)
+		return s.crossSite(att).detach(att, nil)
 	}
 	if att.CPURack < 0 || att.CPURack >= len(s.racks) {
 		return 0, fmt.Errorf("sdm: attachment names rack %d outside the pod", att.CPURack)
@@ -482,50 +463,15 @@ func (s *PodScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error)
 	return s.racks[att.CPURack].DetachRemoteMemory(att)
 }
 
-// detachCross tears down a cross-rack attachment in reverse order.
-func (s *PodScheduler) detachCross(att *Attachment) (sim.Duration, error) {
-	s.requests++
-	rackA := s.racks[att.CPURack]
-	if !rackA.registered(att) {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack attachment for %q on %v not live", att.Owner, att.CPU)
+// crossSite is the detach site of a cross-rack attachment: both
+// endpoint racks, the pod switch tier between them, and this tier's
+// host table, walk order and counters.
+func (s *PodScheduler) crossSite(att *Attachment) detachSite {
+	return detachSite{
+		cpuRack: s.racks[att.CPURack], memRack: s.racks[att.MemRack],
+		t: s.tier(att.CPURack, att.MemRack), hostTab: s.crossHosts[att.CPURack],
+		order: &s.cross, stats: &s.tally, noun: "cross-rack ",
 	}
-	node := rackA.compute(att.CPU)
-	m := s.racks[att.MemRack].memory(att.Segment.Brick)
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		s.racks[att.MemRack].touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-	op := planDetach(s.cfg, att, rackA, s.racks[att.MemRack], s.tier(att.CPURack, att.MemRack), func() {
-		rackA.unregister(att)
-		s.removeCrossHost(att)
-		s.removeCrossOrder(att)
-	})
-	lat, err := op.Commit()
-	if err != nil {
-		s.failures++
-		return 0, err
-	}
-	return lat, nil
 }
 
 // Repoint re-points an attachment's compute end at any brick in the
@@ -579,7 +525,7 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 			}
 			if wasCross {
 				s.removeCrossHost(att)
-				s.removeCrossOrder(att)
+				s.cross.remove(att)
 			} else {
 				oldRack.removeCircuitHost(att)
 			}
@@ -609,14 +555,9 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 // removeCrossHost drops a cross-rack circuit attachment from the
 // fallback host index.
 func (s *PodScheduler) removeCrossHost(att *Attachment) {
+	hosts := s.crossHosts[att.CPURack]
 	ord := s.racks[att.CPURack].cpuPos(att.CPU)
-	hosts := s.crossHosts[att.CPURack][ord]
-	for i, a := range hosts {
-		if a == att {
-			s.crossHosts[att.CPURack][ord] = append(hosts[:i], hosts[i+1:]...)
-			return
-		}
-	}
+	hosts[ord] = dropAtt(hosts[ord], att)
 }
 
 // Attachments returns the live attachments of an owner across the pod

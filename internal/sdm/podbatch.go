@@ -3,11 +3,13 @@ package sdm
 // Batched group-commit admission, pod tier. AdmitBatch serves a whole
 // scale-up burst in three deterministic phases:
 //
-//  1. Partition (serial): every request is assigned a rack by the same
-//     O(1) index-root aggregates the per-request rack choice reads —
-//     free-core rank sums and feasibility maxima — adjusted by the
-//     cores already planned onto each rack, so a burst spreads (or
-//     packs) the way the policy would have placed it one by one.
+//  1. Partition (serial, admitShardPlan — the same partition each pod
+//     runs for its shard of a row batch): every request is assigned a
+//     rack by the same O(1) index-root aggregates the per-request rack
+//     choice reads — free-core rank sums and feasibility maxima —
+//     adjusted by the cores already planned onto each rack, so a burst
+//     spreads (or packs) the way the policy would have placed it one by
+//     one.
 //  2. Plan (parallel): each rack's sub-batch runs through its own
 //     Controller.PlaceBatch on a worker goroutine. Rack shards share
 //     nothing on this path — every controller owns its bricks, fabric
@@ -63,29 +65,9 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 		}
 	}()
 
-	// Phase 1 — partition by the O(1) rack-choice aggregates. The
-	// partition buffers are the pod's reused admit scratch (AdmitBatch
-	// is serial at the pod tier), so a steady burst train pays one
-	// allocation per batch: the caller's result slice.
-	sc := &s.admit
-	if cap(sc.rackOf) < len(reqs) {
-		sc.rackOf = make([]int, len(reqs))
-		sc.pos = make([]int, len(reqs))
-		sc.retry = make([]bool, len(reqs))
-	}
-	if cap(sc.plannedCores) < len(s.racks) {
-		sc.plannedCores = make([]int, len(s.racks))
-		sc.counts = make([]int, len(s.racks))
-		sc.offsets = make([]int, len(s.racks)+1)
-		sc.fill = make([]int, len(s.racks))
-	}
-	rackOf := sc.rackOf[:len(reqs)]
-	plannedCores := sc.plannedCores[:len(s.racks)]
-	clear(plannedCores)
-	// Validate in request order first — malformed requests surface (and
-	// count) exactly as they would mid-partition, since partitioning
-	// itself mutates nothing but scratch — and route attach-only
-	// requests to their home racks.
+	// Phase 1 — validate in request order (malformed requests surface,
+	// and count, exactly as they would mid-partition), then partition by
+	// the O(1) rack-choice aggregates into the pod's reused scratch.
 	for i := range reqs {
 		req := &reqs[i]
 		switch {
@@ -100,57 +82,15 @@ func (s *PodScheduler) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, wo
 				s.failures++
 				return fmt.Errorf("sdm: batch request %d (%q): no rack %d in the pod", i, req.Owner, req.Rack)
 			}
-			rackOf[i] = req.Rack
 		}
 	}
-	// The first compute placement takes the exact per-request rack
-	// choice — which also makes a batch of one reproduce the sequential
-	// path bit for bit.
-	plannedAny := false
-	for i := range reqs {
-		if reqs[i].VCPUs > 0 {
-			rackOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
-		}
-	}
-
-	// Pack per-rack sub-batches, preserving request order within a rack.
-	counts := sc.counts[:len(s.racks)]
-	clear(counts)
-	dispatched := 0
-	for i := range reqs {
-		if rackOf[i] >= 0 {
-			counts[rackOf[i]]++
-			dispatched++
-		}
-	}
-	offsets := sc.offsets[:len(s.racks)+1]
-	offsets[0] = 0
-	for r := range counts {
-		offsets[r+1] = offsets[r] + counts[r]
-	}
-	if cap(sc.subReq) < dispatched {
-		sc.subReq = make([]AdmitRequest, dispatched)
-		sc.subOut = make([]AdmitResult, dispatched)
-	}
-	subReq, subOut := sc.subReq[:dispatched], sc.subOut[:dispatched]
-	clear(subOut)
-	pos := sc.pos[:len(reqs)]
-	fill := sc.fill[:len(s.racks)]
-	copy(fill, offsets[:len(s.racks)])
-	for i := range reqs {
-		r := rackOf[i]
-		if r < 0 {
-			pos[i] = -1
-			continue
-		}
-		pos[i] = fill[r]
-		subReq[fill[r]] = reqs[i]
-		fill[r]++
-	}
+	s.admitShardPlan(reqs)
+	sc := &s.admit
+	rackOf, pos, subOut := sc.rackOf[:len(reqs)], sc.pos[:len(reqs)], sc.subOut
 
 	// Phase 2 — per-rack plan *and commit* on worker goroutines.
 	active := sc.active[:0]
-	for r, n := range counts {
+	for r, n := range sc.counts[:len(s.racks)] {
 		if n > 0 {
 			active = append(active, r)
 		}
@@ -330,4 +270,186 @@ func (s *PodScheduler) abortBatch(reqs []AdmitRequest, out []AdmitResult, seqSta
 		r.rollbackBoots()
 	}
 	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
+}
+
+// admitScratch is one pod's reused admission partition state (see
+// admitShardPlan): a rack wave — the pod's own, or the row's flat
+// commit wave — reads the packed per-rack sub-batches out of it. Each
+// pod's scratch is touched only by the worker running that pod's
+// plan/merge, so the row's waves stay shared-nothing.
+type admitScratch struct {
+	rackOf       []int
+	plannedCores []int
+	counts       []int
+	offsets      []int
+	subReq       []AdmitRequest
+	subOut       []AdmitResult
+	pos          []int
+	fill         []int
+	retry        []bool
+	active       []int
+	// leftover is the merge list of the pod's own AdmitBatch; row-driven
+	// shard calls never touch it.
+	leftover []int
+}
+
+// admitShardPlan is the first half of the pod's admission engine: the
+// partition of a batch (the pod's own, or its shard of a row batch)
+// across its racks, packed into the pod's reused scratch so a rack wave
+// — the pod's own, or the row's flat (pod, rack) wave — can run every
+// rack sub-batch on its own worker. Validation, boot logging and
+// all-or-nothing rollback belong to the caller; the plan reads only
+// pod-local state. The first compute placement takes the exact
+// per-request rack choice, which makes a batch of one reproduce the
+// sequential path bit for bit.
+func (s *PodScheduler) admitShardPlan(reqs []AdmitRequest) {
+	sc := &s.admit
+	if cap(sc.rackOf) < len(reqs) {
+		sc.rackOf = make([]int, len(reqs))
+		sc.pos = make([]int, len(reqs))
+		sc.retry = make([]bool, len(reqs))
+	}
+	if cap(sc.plannedCores) < len(s.racks) {
+		sc.plannedCores = make([]int, len(s.racks))
+		sc.counts = make([]int, len(s.racks))
+		sc.offsets = make([]int, len(s.racks)+1)
+		sc.fill = make([]int, len(s.racks))
+	}
+
+	// Partition by the O(1) rack-choice aggregates (requests are
+	// pre-validated by the caller); attach-only requests go home.
+	rackOf := sc.rackOf[:len(reqs)]
+	plannedCores := sc.plannedCores[:len(s.racks)]
+	clear(plannedCores)
+	plannedAny := false
+	for i := range reqs {
+		if reqs[i].VCPUs == 0 {
+			rackOf[i] = reqs[i].Rack
+		} else {
+			rackOf[i] = s.partitionStep(&reqs[i], plannedCores, &plannedAny)
+		}
+	}
+
+	// Pack per-rack sub-batches, preserving request order within a rack.
+	counts := sc.counts[:len(s.racks)]
+	clear(counts)
+	dispatched := 0
+	for i := range reqs {
+		if rackOf[i] >= 0 {
+			counts[rackOf[i]]++
+			dispatched++
+		}
+	}
+	offsets := sc.offsets[:len(s.racks)+1]
+	offsets[0] = 0
+	for r := range counts {
+		offsets[r+1] = offsets[r] + counts[r]
+	}
+	if cap(sc.subReq) < dispatched {
+		sc.subReq = make([]AdmitRequest, dispatched)
+		sc.subOut = make([]AdmitResult, dispatched)
+	}
+	subReq, subOut := sc.subReq[:dispatched], sc.subOut[:dispatched]
+	clear(subOut)
+	pos := sc.pos[:len(reqs)]
+	fill := sc.fill[:len(s.racks)]
+	copy(fill, offsets[:len(s.racks)])
+	for i := range reqs {
+		r := rackOf[i]
+		if r < 0 {
+			pos[i] = -1
+			continue
+		}
+		pos[i] = fill[r]
+		subReq[fill[r]] = reqs[i]
+		fill[r]++
+	}
+}
+
+// admitShardMerge is the row shard's second half: gather the rack
+// shard results and resolve leftovers through the pod's rack→pod spill
+// cascade. (The pod's own AdmitBatch gathers and merges itself, since
+// it aborts where a shard defers to the row.) A request the pod cannot finish never aborts — a
+// definitive failure surfaces as Err (nothing committed, the row
+// re-places it), and a committed compute whose remote part found no
+// pod-local home surfaces as needSpill (the row crosses pods). The
+// merge touches only pod-local state, which is what makes the row's
+// selection byte-identical at any worker count.
+func (s *PodScheduler) admitShardMerge(reqs []AdmitRequest, out []AdmitResult) {
+	sc := &s.admit
+	rackOf, pos := sc.rackOf[:len(reqs)], sc.pos[:len(reqs)]
+	subOut := sc.subOut
+
+	// Phase 3a — gather.
+	retry := sc.retry[:len(reqs)]
+	clear(retry)
+	for i := range reqs {
+		if pos[i] < 0 {
+			retry[i] = true
+			continue
+		}
+		out[i] = subOut[pos[i]]
+		out[i].Rack = rackOf[i]
+		if out[i].Att != nil {
+			out[i].Att.CPURack, out[i].Att.MemRack = out[i].Rack, out[i].Rack
+		}
+		if out[i].Err != nil {
+			out[i] = AdmitResult{}
+			retry[i] = true
+		}
+	}
+
+	// Phase 3b — merge leftovers in shard order.
+	for i := range reqs {
+		req := &reqs[i]
+		if retry[i] {
+			if req.VCPUs > 0 {
+				id, lat, err := s.ReserveCompute(req.Owner, req.VCPUs, req.LocalMem)
+				if err != nil {
+					// Nothing committed for this request: the row re-places
+					// it pod-wide against committed state.
+					out[i] = AdmitResult{Err: err}
+					continue
+				}
+				out[i].CPU, out[i].Rack = id.Brick, id.Rack
+				out[i].ComputeLat, out[i].computeDone = lat, true
+			} else {
+				out[i].CPU, out[i].Rack = req.CPU, req.Rack
+			}
+			if req.Remote > 0 {
+				att, lat, err := s.AttachRemoteMemory(req.Owner, topo.PodBrickID{Rack: out[i].Rack, Brick: out[i].CPU}, req.Remote)
+				if err != nil {
+					// The pod cannot serve the remote part anywhere local;
+					// keep the compute and hand the spill to the row.
+					out[i].needSpill, out[i].localErr = true, err
+					continue
+				}
+				out[i].Att, out[i].AttachLat = att, lat
+			}
+			continue
+		}
+		res := &out[i]
+		if req.VCPUs > 0 {
+			s.requests++
+		}
+		if req.Remote > 0 {
+			s.requests++
+		}
+		if res.needSpill {
+			att, lat, err := s.attachCross(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
+			if err != nil {
+				localErr := res.localErr
+				if localErr == nil {
+					localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", req.Remote)
+				}
+				s.failures++
+				// needSpill stays set: the row crosses pods in its merge.
+				res.localErr = fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", req.Owner, localErr, err)
+				continue
+			}
+			s.spills++
+			res.Att, res.AttachLat = att, lat
+			res.needSpill, res.localErr = false, nil
+		}
+	}
 }

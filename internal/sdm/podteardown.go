@@ -2,28 +2,31 @@ package sdm
 
 // Batched group-commit teardown, pod tier — the inverse of podbatch.go.
 // EvictBatch retires a burst of consumers in three deterministic
-// phases, mirroring AdmitBatch's shape:
+// phases, mirroring AdmitBatch's shape; the row tier runs the same
+// engine per pod shard (evictShardPlan, its own flat rack wave,
+// evictShardMerge):
 //
-//  1. Partition (serial): every request already names its rack; its
-//     rack-local attachments and compute release pack into a per-rack
-//     ReleaseBatch sub-batch, and its cross-rack attachments queue for
-//     the serial pod phase (their circuits ride the pod switch, which
-//     no rack shard owns).
+//  1. Partition (serial, evictShardPlan): every request already names
+//     its rack; its rack-local attachments and compute release pack
+//     into a per-rack ReleaseBatch sub-batch, and its cross-rack
+//     attachments queue for the serial pod phase (their circuits ride
+//     the pod switch, which no rack shard owns).
 //  2. Teardown (parallel): each rack's sub-batch runs through its own
 //     Controller.ReleaseBatch on a worker goroutine — shared-nothing
 //     rack shards, so the outcome is byte-identical at any worker
 //     count, with one deferred index-leaf refresh per touched brick.
-//  3. Cross phase (serial): cross-rack attachments detach in request
-//     order through the same steps as detachCross, journaled like the
-//     rack teardowns.
+//  3. Cross phase (serial, evictShardMerge): cross-rack attachments
+//     detach in request order through the one detach body, journaled
+//     like the rack teardowns.
 //
 // Eviction is all-or-nothing: if any teardown definitively fails, the
-// journals replay in reverse — segments re-carve at their exact
-// offsets, the exact ports re-acquire, circuits rebuild, packet riders
-// re-key onto the rebuilt circuits, crossOrder re-threads without
-// re-stamping spill sequence numbers, and released compute re-reserves
-// — leaving brick state, placement indexes, the power census and the
-// rebalancer's walk order answering exactly as before the batch.
+// journals replay in reverse (rollbackEvict) — segments re-carve at
+// their exact offsets, the exact ports re-acquire, circuits rebuild,
+// packet riders re-key onto the rebuilt circuits, the walk order
+// re-threads without re-stamping spill sequence numbers, and released
+// compute re-reserves — leaving brick state, placement indexes, the
+// power census and the rebalancer's walk order answering exactly as
+// before the batch.
 
 import (
 	"fmt"
@@ -86,9 +89,9 @@ type evictScratch struct {
 	fill    []int
 	active  []int
 	podLog  []detachUndo
-	// shardN records how many requests the last row-driven evictShard
-	// processed, so the row's rollback re-reserves exactly those
-	// requests' compute out of this pod's scratch.
+	// shardN records how many requests the last evictShardPlan
+	// partitioned, so rollbackEvict re-reserves exactly those requests'
+	// compute out of this scratch.
 	shardN int
 }
 
@@ -117,18 +120,58 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	if len(reqs) == 0 {
 		return nil
 	}
+	for i := range reqs {
+		if r := reqs[i].Rack; r < 0 || r >= len(s.racks) {
+			return fmt.Errorf("sdm: batch eviction request %d (%q): no rack %d in the pod", i, reqs[i].Owner, r)
+		}
+	}
 	seqStart := s.attachSeq
-	// Clear every rack's teardown journal up front: abortEvict replays
-	// all of them, and a rack this batch never touches must not replay
-	// entries left over from an earlier committed batch.
+	// Clear every journal up front: rollbackEvict replays all of them,
+	// and a rack this batch never touches must not replay entries left
+	// over from an earlier committed batch.
 	for _, r := range s.racks {
 		r.undoLog = r.undoLog[:0]
 	}
 
-	// Phase 1 — validate and partition. Requests already name their
-	// racks, so partitioning is a split of each request's attachment
-	// list: rack-local teardown parallelizes, cross-rack serializes.
+	// Phase 1 — partition; phase 2 — per-rack teardown on worker
+	// goroutines; phase 3 — gather and cross-rack teardowns in request
+	// order. The first failed request (in request order) aborts the
+	// whole batch; every rack has already run, so the rollback sees all
+	// worker-committed teardowns in the journals.
+	s.evictShardPlan(reqs)
 	sc := &s.evict
+	active := sc.active[:0]
+	for r, n := range sc.counts[:len(s.racks)] {
+		if n > 0 {
+			active = append(active, r)
+		}
+	}
+	sc.active = active
+	s.forEachRack(workers, active, s.evictWave)
+	if failed, err := s.evictShardMerge(reqs, out); err != nil {
+		return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, s.rollbackEvict(seqStart, err))
+	}
+	// Epilogue: the batch committed, so every torn-down attachment is
+	// dead — drain them into their compute rack's arena in request order.
+	for i := range reqs {
+		for _, att := range reqs[i].Atts {
+			s.racks[reqs[i].Rack].freeAttachment(att)
+		}
+	}
+	return nil
+}
+
+// evictShardPlan is the first half of the pod teardown engine: the
+// partition, packed into the pod's reused scratch so a rack wave — the
+// pod's own, or the row's flat (pod, rack) wave — can run every rack's
+// ReleaseBatch on its own worker. The caller has already validated the
+// racks and cleared every journal.
+func (s *PodScheduler) evictShardPlan(reqs []EvictRequest) {
+	sc := &s.evict
+	sc.shardN = len(reqs)
+	if len(reqs) == 0 {
+		return
+	}
 	total := 0
 	for i := range reqs {
 		total += len(reqs[i].Atts)
@@ -143,9 +186,6 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	relReqs := sc.relReqs[:len(reqs)]
 	for i := range reqs {
 		req := &reqs[i]
-		if req.Rack < 0 || req.Rack >= len(s.racks) {
-			return fmt.Errorf("sdm: batch eviction request %d (%q): no rack %d in the pod", i, req.Owner, req.Rack)
-		}
 		rr := ReleaseRequest{Owner: req.Owner, CPU: req.CPU, VCPUs: req.VCPUs, LocalMem: req.LocalMem, Rack: req.Rack}
 		start := len(atts)
 		for _, att := range req.Atts {
@@ -160,7 +200,6 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	}
 	sc.atts, sc.cross = atts, crossQ
 
-	// Pack per-rack sub-batches, preserving request order within a rack.
 	if cap(sc.counts) < len(s.racks) {
 		sc.counts = make([]int, len(s.racks))
 		sc.offsets = make([]int, len(s.racks)+1)
@@ -168,7 +207,7 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		sc.active = make([]int, 0, len(s.racks))
 	}
 	counts, fill := sc.counts[:len(s.racks)], sc.fill[:len(s.racks)]
-	offsets, active := sc.offsets[:len(s.racks)+1], sc.active[:0]
+	offsets := sc.offsets[:len(s.racks)+1]
 	clear(counts)
 	for i := range relReqs {
 		counts[relReqs[i].Rack]++
@@ -182,7 +221,7 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		sc.subOut = make([]ReleaseResult, len(relReqs))
 		sc.pos = make([]int, len(relReqs))
 	}
-	subReq, subOut := sc.subReq[:len(relReqs)], sc.subOut[:len(relReqs)]
+	subReq := sc.subReq[:len(relReqs)]
 	pos := sc.pos[:len(relReqs)]
 	copy(fill, offsets[:len(s.racks)])
 	for i := range relReqs {
@@ -191,181 +230,57 @@ func (s *PodScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 		subReq[fill[r]] = relReqs[i]
 		fill[r]++
 	}
+}
 
-	// Phase 2 — per-rack teardown on worker goroutines.
-	for r, n := range counts {
-		if n > 0 {
-			active = append(active, r)
-		}
+// evictShardMerge is the second half of the engine: gather the rack
+// ReleaseBatch results out of the scratch and run the cross-rack phase,
+// journaling for rollbackEvict instead of aborting. It returns the
+// index of the first failed request and its error, or (-1, nil) on
+// success.
+func (s *PodScheduler) evictShardMerge(reqs []EvictRequest, out []EvictResult) (int, error) {
+	sc := &s.evict
+	if len(reqs) == 0 {
+		return -1, nil
 	}
-	sc.active = active
-	s.forEachRack(workers, active, s.evictWave)
+	relReqs := sc.relReqs[:len(reqs)]
+	subOut, pos, crossQ := sc.subOut, sc.pos[:len(reqs)], sc.cross
 
-	// Gather: the first failed request (in request order) aborts the
-	// whole batch; every rack has already run, so the rollback sees all
-	// worker-committed teardowns in the journals.
 	podLog := sc.podLog[:0]
 	for i := range relReqs {
 		if err := subOut[pos[i]].Err; err != nil {
-			return s.abortEvict(reqs, subReq, subOut, pos, podLog, seqStart, i, err)
+			sc.podLog = podLog
+			return i, err
 		}
 		out[i].DetachLat = subOut[pos[i]].DetachLat
 		out[i].Detached = subOut[pos[i]].Detached
 	}
 
-	// Phase 3 — cross-rack teardowns in request order.
 	for _, ci := range crossQ {
-		lat, err := s.batchDetachCross(ci.att, &podLog)
+		lat, err := s.crossSite(ci.att).detach(ci.att, &podLog)
 		if err != nil {
 			sc.podLog = podLog
-			return s.abortEvict(reqs, subReq, subOut, pos, podLog, seqStart, ci.req, err)
+			return ci.req, err
 		}
 		out[ci.req].DetachLat += lat
 		out[ci.req].Detached++
 	}
 	sc.podLog = podLog
-	// Epilogue: the batch committed, so every torn-down attachment is
-	// dead — drain them into their compute rack's arena in request order.
-	for i := range reqs {
-		for _, att := range reqs[i].Atts {
-			s.racks[reqs[i].Rack].freeAttachment(att)
-		}
-	}
-	return nil
+	return -1, nil
 }
 
-// batchDetachCross mirrors detachCross — same validation, counters,
-// latency accounting and error surfaces, executed inline as one merged
-// commit — and journals the undo into the pod-phase log.
-func (s *PodScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
-	s.requests++
-	rackA := s.racks[att.CPURack]
-	idx := -1
-	var list []*Attachment
-	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
-		list = rackA.attachments[id]
-	}
-	for i, a := range list {
-		if a == att {
-			idx = i
-			break
+// rollbackEvict replays this pod's journals of the last eviction in
+// reverse — the cross phase first (last torn down), then each rack's —
+// re-reserves the compute its racks released, and restores the spill
+// sequence counter to seq, leaving the pod as if the eviction never
+// ran. It returns cause, annotated with any replay failure.
+func (s *PodScheduler) rollbackEvict(seq uint64, cause error) error {
+	sc := &s.evict
+	for i := len(sc.podLog) - 1; i >= 0; i-- {
+		if err := sc.podLog[i].undoDetach(); err != nil {
+			cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, sc.podLog[i].att.Owner, err)
 		}
 	}
-	if idx == -1 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	node := rackA.compute(att.CPU)
-	rackB := s.racks[att.MemRack]
-	m := rackB.memory(att.Segment.Brick)
-
-	// crossNext is the attachment's successor in the rebalancer walk
-	// order, so rollback can re-thread it at the exact position.
-	crossNext := att.crossNext
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		segOffset, segSize := att.Segment.Offset, att.Segment.Size
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		*log = append(*log, detachUndo{
-			att:       att,
-			packet:    true,
-			cpuRack:   rackA,
-			memRack:   rackB,
-			memID:     memID,
-			segOffset: segOffset,
-			segSize:   segSize,
-			attIdx:    idx,
-			pod:       s,
-			crossNext: crossNext,
-		})
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		rackB.touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-rack circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-
-	cpu, memID := att.CPU, att.Segment.Brick
-	defer func() {
-		rackA.touchCompute(cpu)
-		rackB.touchMemory(memID)
-	}()
-	lat := s.cfg.DecisionLatency
-	t := s.tier(att.CPURack, att.MemRack)
-	oldWindow := att.Window
-
-	if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-		s.failures++
-		return 0, err
-	}
-	lat += s.cfg.AgentRTT
-	d, err := t.disconnect(att.Circuit)
-	lat += d
-	if err != nil {
-		if uerr := node.Agent.Glue.Attach(oldWindow); uerr != nil {
-			s.failures++
-			return 0, fmt.Errorf("sdm: detach failed (%v) and rollback failed: %w", err, uerr)
-		}
-		s.failures++
-		return 0, err
-	}
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
-	if err := rackA.finishDetach(node, m, att); err != nil {
-		s.failures++
-		return 0, err
-	}
-	hosts := s.crossHosts[att.CPURack][rackA.cpuPos(att.CPU)]
-	crossHostIdx := 0
-	for i, a := range hosts {
-		if a == att {
-			crossHostIdx = i
-			break
-		}
-	}
-	*log = append(*log, detachUndo{
-		att:          att,
-		cpuRack:      rackA,
-		memRack:      rackB,
-		memID:        memID,
-		segOffset:    segOffset,
-		segSize:      segSize,
-		t:            t,
-		attIdx:       idx,
-		crossHostIdx: crossHostIdx,
-		pod:          s,
-		crossNext:    crossNext,
-	})
-	ownerList := rackA.attachments[att.ownerID]
-	rackA.attachments[att.ownerID] = append(ownerList[:idx], ownerList[idx+1:]...)
-	s.removeCrossHost(att)
-	s.removeCrossOrder(att)
-	return lat, nil
-}
-
-// abortEvict replays every journal in reverse — the pod phase first
-// (last torn down), then each rack's — re-reserves released compute,
-// and restores the spill sequence counter, leaving the pod as if the
-// batch never ran; it returns the annotated cause.
-func (s *PodScheduler) abortEvict(reqs []EvictRequest, subReq []ReleaseRequest, subOut []ReleaseResult, pos []int, podLog []detachUndo, seqStart uint64, failed int, cause error) error {
-	for i := len(podLog) - 1; i >= 0; i-- {
-		if err := podLog[i].undoDetach(); err != nil {
-			cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, podLog[i].att.Owner, err)
-		}
-	}
+	sc.podLog = sc.podLog[:0]
 	for _, r := range s.racks {
 		for i := len(r.undoLog) - 1; i >= 0; i-- {
 			if err := r.undoLog[i].undoDetach(); err != nil {
@@ -374,12 +289,12 @@ func (s *PodScheduler) abortEvict(reqs []EvictRequest, subReq []ReleaseRequest, 
 		}
 		r.undoLog = r.undoLog[:0]
 	}
-	for i := len(reqs) - 1; i >= 0; i-- {
-		res := &subOut[pos[i]]
+	for i := sc.shardN - 1; i >= 0; i-- {
+		res := &sc.subOut[sc.pos[i]]
 		if !res.released {
 			continue
 		}
-		rr := &subReq[pos[i]]
+		rr := &sc.subReq[sc.pos[i]]
 		node := s.racks[rr.Rack].compute(rr.CPU)
 		if rr.VCPUs > 0 {
 			if err := node.Brick.AllocCores(rr.VCPUs); err != nil {
@@ -394,6 +309,7 @@ func (s *PodScheduler) abortEvict(reqs []EvictRequest, subReq []ReleaseRequest, 
 		s.racks[rr.Rack].touchCompute(rr.CPU)
 		res.released = false
 	}
-	s.attachSeq = seqStart
-	return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
+	sc.shardN = 0
+	s.attachSeq = seq
+	return cause
 }

@@ -23,31 +23,12 @@ func (c *Controller) ReserveComputeExcept(owner string, vcpus int, localMem bric
 		c.failures++
 		return topo.BrickID{}, 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
 	}
-	lat := c.cfg.DecisionLatency
 	id, ok := c.pickComputeExcept(vcpus, localMem, exclude)
 	if !ok {
 		c.failures++
 		return topo.BrickID{}, 0, fmt.Errorf("sdm: no compute brick other than %v with %d free cores and %v local memory", exclude, vcpus, localMem)
 	}
-	node := c.compute(id)
-	if node.Brick.State() == brick.PowerOff {
-		node.Brick.PowerOn()
-		lat += c.cfg.BrickBoot
-	}
-	if err := node.Brick.AllocCores(vcpus); err != nil {
-		c.failures++
-		return topo.BrickID{}, 0, err
-	}
-	if localMem > 0 {
-		if err := node.Brick.AllocLocal(localMem); err != nil {
-			node.Brick.FreeCoresBack(vcpus)
-			c.touchCompute(id)
-			c.failures++
-			return topo.BrickID{}, 0, err
-		}
-	}
-	c.touchCompute(id)
-	return id, lat, nil
+	return c.claimCompute(id, vcpus, localMem)
 }
 
 // ReattachRemoteMemory re-points a live attachment at a new compute

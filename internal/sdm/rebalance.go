@@ -114,7 +114,7 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 			switch {
 			case wasCross && !nowCross:
 				s.removeCrossHost(att)
-				s.removeCrossOrder(att)
+				s.cross.remove(att)
 				att.cross = nil
 				rackA.circuitHosts[ord] = append(rackA.circuitHosts[ord], att)
 				s.promoted++

@@ -50,11 +50,10 @@ type RowScheduler struct {
 	// (Packet-rider counts live on the circuits: optical.Circuit.Riders.)
 	crossHosts [][][][]*Attachment
 
-	// cross lists every live cross-pod attachment in spill order,
-	// mirroring the pod tier's rebalancer walk order one tier up,
-	// threaded intrusively through the attachments themselves.
-	cross     crossList
-	attachSeq uint64
+	// crossTier's walk order lists every live cross-pod attachment in
+	// spill order, mirroring the pod tier's rebalancer walk order one
+	// tier up, threaded intrusively through the attachments themselves.
+	crossTier
 
 	// tierConns caches cross-pod connectors per endpoint quadruple
 	// (cpuPod, cpuRack, memPod, memRack).
@@ -81,10 +80,6 @@ type RowScheduler struct {
 	evictPlanWave   func(p int)
 	evictCommitWave func(sh rackShard)
 	evictMergeWave  func(p int)
-
-	requests uint64
-	failures uint64
-	spills   uint64
 }
 
 // NewRowScheduler builds one PodScheduler per pod over the row fabric's
@@ -126,7 +121,7 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 	}
 	s.admitPlanWave = func(p int) {
 		sc := &s.admit
-		s.pods[p].admitShardPlan(sc.subReq[sc.offsets[p]:sc.offsets[p+1]], sc.subOut[sc.offsets[p]:sc.offsets[p+1]])
+		s.pods[p].admitShardPlan(sc.subReq[sc.offsets[p]:sc.offsets[p+1]])
 	}
 	s.admitCommitWave = func(sh rackShard) {
 		a := &s.pods[sh.pod].admit
@@ -422,7 +417,6 @@ func (s *RowScheduler) attachCross(owner string, cpu topo.RowBrickID, size brick
 		// The pick above runs before the circuit step, so memPod is set by
 		// the time the connector is chosen.
 		func(memRack int) connector { return s.tier(cpu.Pod, cpu.Rack, memPod, memRack) },
-		false,
 		func(att *Attachment, memRack int) {
 			att.CPURack, att.MemRack = cpu.Rack, memRack
 			att.CPUPod, att.MemPod = cpu.Pod, memPod
@@ -442,19 +436,6 @@ func (s *RowScheduler) attachCross(owner string, cpu topo.RowBrickID, size brick
 		return nil, 0, err
 	}
 	return op.att, lat, nil
-}
-
-// addCrossOrder stamps an attachment with the next spill sequence
-// number and appends it to the oldest-first cross-pod walk order.
-func (s *RowScheduler) addCrossOrder(att *Attachment) {
-	s.attachSeq++
-	att.seq = s.attachSeq
-	s.cross.pushBack(att)
-}
-
-// removeCrossOrder drops an attachment from the walk order in O(1).
-func (s *RowScheduler) removeCrossOrder(att *Attachment) {
-	s.cross.remove(att)
 }
 
 // attachPacketCross preserves the packet fallback across the row tier:
@@ -517,11 +498,11 @@ func (s *RowScheduler) attachPacketCross(owner string, cpu topo.RowBrickID, size
 }
 
 // DetachRemoteMemory tears a row attachment down: pod-local ones
-// delegate to their pod's scheduler, cross-pod ones to detachCross (the
-// routing lives on the attachment, so any entry point works).
+// delegate to their pod's scheduler, cross-pod ones to this tier's site
+// (the routing lives on the attachment, so any entry point works).
 func (s *RowScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
 	if att.crossRow != nil {
-		return s.detachCross(att)
+		return s.crossSite(att).detach(att, nil)
 	}
 	if att.CPUPod < 0 || att.CPUPod >= len(s.pods) {
 		return 0, fmt.Errorf("sdm: attachment names pod %d outside the row", att.CPUPod)
@@ -529,63 +510,15 @@ func (s *RowScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error)
 	return s.pods[att.CPUPod].DetachRemoteMemory(att)
 }
 
-// detachCross tears down a cross-pod attachment in reverse order.
-func (s *RowScheduler) detachCross(att *Attachment) (sim.Duration, error) {
-	s.requests++
-	rackA := s.pods[att.CPUPod].racks[att.CPURack]
-	if !rackA.registered(att) {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	node := rackA.compute(att.CPU)
-	rackB := s.pods[att.MemPod].racks[att.MemRack]
-	m := rackB.memory(att.Segment.Brick)
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		rackB.touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-	op := planDetach(s.cfg, att, rackA, rackB, s.tier(att.CPUPod, att.CPURack, att.MemPod, att.MemRack), func() {
-		rackA.unregister(att)
-		s.removeCrossHost(att)
-		s.removeCrossOrder(att)
-	})
-	lat, err := op.Commit()
-	if err != nil {
-		s.failures++
-		return 0, err
-	}
-	return lat, nil
-}
-
-// removeCrossHost drops a cross-pod circuit attachment from the
-// fallback host index.
-func (s *RowScheduler) removeCrossHost(att *Attachment) {
-	ord := s.pods[att.CPUPod].racks[att.CPURack].cpuPos(att.CPU)
-	hosts := s.crossHosts[att.CPUPod][att.CPURack][ord]
-	for i, a := range hosts {
-		if a == att {
-			s.crossHosts[att.CPUPod][att.CPURack][ord] = append(hosts[:i], hosts[i+1:]...)
-			return
-		}
+// crossSite is the detach site of a cross-pod attachment: both
+// endpoint racks, the row switch tier between them, and this tier's
+// host table, walk order and counters.
+func (s *RowScheduler) crossSite(att *Attachment) detachSite {
+	return detachSite{
+		cpuRack: s.pods[att.CPUPod].racks[att.CPURack], memRack: s.pods[att.MemPod].racks[att.MemRack],
+		t:       s.tier(att.CPUPod, att.CPURack, att.MemPod, att.MemRack),
+		hostTab: s.crossHosts[att.CPUPod][att.CPURack],
+		order:   &s.cross, stats: &s.tally, noun: "cross-pod ",
 	}
 }
 

@@ -70,28 +70,6 @@ type rowAdmitScratch struct {
 	podSeq       []uint64
 }
 
-// admitScratch is one pod's reused shard partition state for
-// row-driven batches (see admitShardPlan/admitShardMerge): the row's
-// flat commit wave reads the packed per-rack sub-batches out of it
-// between the two calls. Each pod's scratch is touched only by the
-// worker running that pod's plan/merge, so the waves stay
-// shared-nothing.
-type admitScratch struct {
-	rackOf       []int
-	plannedCores []int
-	counts       []int
-	offsets      []int
-	subReq       []AdmitRequest
-	subOut       []AdmitResult
-	pos          []int
-	fill         []int
-	retry        []bool
-	active       []int
-	// leftover is the merge list of the pod's own AdmitBatch; row-driven
-	// shard calls never touch it.
-	leftover []int
-}
-
 // AdmitBatch admits a burst of requests row-wide using at most workers
 // goroutines for the sharded plan/commit waves (<= 0 means GOMAXPROCS).
 // Results are in request order. On error, nothing remains admitted.
@@ -446,191 +424,4 @@ func (s *RowScheduler) abortBatch(reqs []AdmitRequest, out []AdmitResult, seqSta
 		}
 	}
 	return fmt.Errorf("sdm: batch admission rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)
-}
-
-// admitShardPlan is the first half of a pod's row-shard engine: the
-// pod tier's own partition of the shard across its racks, packed into
-// the pod's reused scratch so the row's flat commit wave can run every
-// (pod, rack) sub-batch on its own worker. Validation, boot logging
-// and all-or-nothing rollback belong to the row tier; the plan reads
-// only pod-local state.
-func (s *PodScheduler) admitShardPlan(reqs []AdmitRequest, out []AdmitResult) {
-	sc := &s.admit
-	if cap(sc.rackOf) < len(reqs) {
-		sc.rackOf = make([]int, len(reqs))
-		sc.pos = make([]int, len(reqs))
-		sc.retry = make([]bool, len(reqs))
-	}
-	if cap(sc.plannedCores) < len(s.racks) {
-		sc.plannedCores = make([]int, len(s.racks))
-		sc.counts = make([]int, len(s.racks))
-		sc.offsets = make([]int, len(s.racks)+1)
-		sc.fill = make([]int, len(s.racks))
-	}
-
-	// Phase 1 — partition by the O(1) rack-choice aggregates (requests
-	// are pre-validated by the row).
-	rackOf := sc.rackOf[:len(reqs)]
-	plannedCores := sc.plannedCores[:len(s.racks)]
-	clear(plannedCores)
-	plannedAny := false
-	for i := range reqs {
-		req := &reqs[i]
-		switch {
-		case req.VCPUs == 0:
-			rackOf[i] = req.Rack
-		case !plannedAny:
-			rack, ok := s.pickComputeRackExcept(req.VCPUs, req.LocalMem, -1)
-			if !ok {
-				rackOf[i] = -1
-				continue
-			}
-			rackOf[i] = rack
-			plannedCores[rack] += req.VCPUs
-			plannedAny = true
-		default:
-			rackOf[i] = s.pickComputeRackPlanned(req.VCPUs, req.LocalMem, plannedCores)
-			if rackOf[i] >= 0 {
-				plannedCores[rackOf[i]] += req.VCPUs
-			}
-		}
-	}
-
-	// Pack per-rack sub-batches, preserving request order within a rack.
-	counts := sc.counts[:len(s.racks)]
-	clear(counts)
-	dispatched := 0
-	for i := range reqs {
-		if rackOf[i] >= 0 {
-			counts[rackOf[i]]++
-			dispatched++
-		}
-	}
-	offsets := sc.offsets[:len(s.racks)+1]
-	offsets[0] = 0
-	for r := range counts {
-		offsets[r+1] = offsets[r] + counts[r]
-	}
-	if cap(sc.subReq) < dispatched {
-		sc.subReq = make([]AdmitRequest, dispatched)
-		sc.subOut = make([]AdmitResult, dispatched)
-	}
-	subReq, subOut := sc.subReq[:dispatched], sc.subOut[:dispatched]
-	clear(subOut)
-	pos := sc.pos[:len(reqs)]
-	fill := sc.fill[:len(s.racks)]
-	copy(fill, offsets[:len(s.racks)])
-	for i := range reqs {
-		r := rackOf[i]
-		if r < 0 {
-			pos[i] = -1
-			continue
-		}
-		pos[i] = fill[r]
-		subReq[fill[r]] = reqs[i]
-		fill[r]++
-	}
-}
-
-// admitShard runs a pod's row shard serially: the plan, the rack
-// commits in index order, and the merge. The row's AdmitBatch runs the
-// same three stages itself so the rack commits of different pods share
-// one flat wave; this entry point serves callers that want the shard
-// as one unit.
-func (s *PodScheduler) admitShard(reqs []AdmitRequest, out []AdmitResult) {
-	s.admitShardPlan(reqs, out)
-	sc := &s.admit
-	for r := range s.racks {
-		if sc.counts[r] > 0 {
-			s.racks[r].placeBatch(sc.subReq[sc.offsets[r]:sc.offsets[r+1]], sc.subOut[sc.offsets[r]:sc.offsets[r+1]], true)
-		}
-	}
-	s.admitShardMerge(reqs, out)
-}
-
-// admitShardMerge is the second half of the shard engine: gather the
-// rack shard results and resolve leftovers through the pod's rack→pod
-// spill cascade. A request the pod cannot finish never aborts — a
-// definitive failure surfaces as Err (nothing committed, the row
-// re-places it), and a committed compute whose remote part found no
-// pod-local home surfaces as needSpill (the row crosses pods). The
-// merge touches only pod-local state, which is what makes the row's
-// selection byte-identical at any worker count.
-func (s *PodScheduler) admitShardMerge(reqs []AdmitRequest, out []AdmitResult) {
-	sc := &s.admit
-	rackOf, pos := sc.rackOf[:len(reqs)], sc.pos[:len(reqs)]
-	subOut := sc.subOut
-
-	// Phase 3a — gather.
-	retry := sc.retry[:len(reqs)]
-	clear(retry)
-	for i := range reqs {
-		if pos[i] < 0 {
-			retry[i] = true
-			continue
-		}
-		out[i] = subOut[pos[i]]
-		out[i].Rack = rackOf[i]
-		if out[i].Att != nil {
-			out[i].Att.CPURack, out[i].Att.MemRack = out[i].Rack, out[i].Rack
-		}
-		if out[i].Err != nil {
-			out[i] = AdmitResult{}
-			retry[i] = true
-		}
-	}
-
-	// Phase 3b — merge leftovers in shard order.
-	for i := range reqs {
-		req := &reqs[i]
-		if retry[i] {
-			if req.VCPUs > 0 {
-				id, lat, err := s.ReserveCompute(req.Owner, req.VCPUs, req.LocalMem)
-				if err != nil {
-					// Nothing committed for this request: the row re-places
-					// it pod-wide against committed state.
-					out[i] = AdmitResult{Err: err}
-					continue
-				}
-				out[i].CPU, out[i].Rack = id.Brick, id.Rack
-				out[i].ComputeLat, out[i].computeDone = lat, true
-			} else {
-				out[i].CPU, out[i].Rack = req.CPU, req.Rack
-			}
-			if req.Remote > 0 {
-				att, lat, err := s.AttachRemoteMemory(req.Owner, topo.PodBrickID{Rack: out[i].Rack, Brick: out[i].CPU}, req.Remote)
-				if err != nil {
-					// The pod cannot serve the remote part anywhere local;
-					// keep the compute and hand the spill to the row.
-					out[i].needSpill, out[i].localErr = true, err
-					continue
-				}
-				out[i].Att, out[i].AttachLat = att, lat
-			}
-			continue
-		}
-		res := &out[i]
-		if req.VCPUs > 0 {
-			s.requests++
-		}
-		if req.Remote > 0 {
-			s.requests++
-		}
-		if res.needSpill {
-			att, lat, err := s.attachCross(req.Owner, topo.PodBrickID{Rack: res.Rack, Brick: res.CPU}, req.Remote)
-			if err != nil {
-				localErr := res.localErr
-				if localErr == nil {
-					localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", req.Remote)
-				}
-				s.failures++
-				// needSpill stays set: the row crosses pods in its merge.
-				res.localErr = fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", req.Owner, localErr, err)
-				continue
-			}
-			s.spills++
-			res.Att, res.AttachLat = att, lat
-			res.needSpill, res.localErr = false, nil
-		}
-	}
 }

@@ -9,12 +9,13 @@ package sdm
 //     into a per-pod shard, and its cross-pod attachments queue for the
 //     serial row phase (their circuits ride the row switch, which no
 //     pod shard owns).
-//  2. Teardown (parallel): each pod's shard runs through
-//     PodScheduler.evictShard on a worker goroutine — the full pod
-//     teardown pipeline, serialized within the shard — so the outcome
-//     is byte-identical at any worker count.
+//  2. Teardown (parallel): each pod's shard runs through the pod's own
+//     teardown engine — evictShardPlan per pod, one flat (pod, rack)
+//     ReleaseBatch wave across the row, evictShardMerge per pod — so the
+//     outcome is byte-identical at any worker count.
 //  3. Cross phase (serial): cross-pod attachments detach in request
-//     order, journaled like the pod and rack teardowns.
+//     order through the one detach body, journaled like the pod and
+//     rack teardowns.
 //
 // Eviction is all-or-nothing: on any definitive failure the row
 // journal, every pod journal, and every rack journal replay in
@@ -22,11 +23,7 @@ package sdm
 // counters at both tiers restore — leaving the row answering exactly
 // as before the batch.
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // rowEvictScratch is the row EvictBatch's reused partition state,
 // mirroring evictScratch one tier up: shard requests instead of
@@ -214,7 +211,7 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 
 	// Phase 3 — cross-pod teardowns in request order.
 	for _, ci := range crossQ {
-		lat, err := s.batchDetachCross(ci.att, &rowLog)
+		lat, err := s.crossSite(ci.att).detach(ci.att, &rowLog)
 		if err != nil {
 			sc.rowLog = rowLog
 			return s.abortEvict(reqs, rowLog, seqStart, podSeq, ci.req, err)
@@ -234,235 +231,6 @@ func (s *RowScheduler) EvictBatchInto(reqs []EvictRequest, out []EvictResult, wo
 	return nil
 }
 
-// evictShardPlan is the first half of the pod teardown pipeline for a
-// row-tier shard: EvictBatch's partition, packed into the pod's reused
-// scratch so the row's flat commit wave can run every (pod, rack)
-// ReleaseBatch on its own worker. The row has already validated pods
-// and racks and cleared every journal.
-func (s *PodScheduler) evictShardPlan(reqs []EvictRequest) {
-	sc := &s.evict
-	sc.shardN = len(reqs)
-	if len(reqs) == 0 {
-		return
-	}
-	total := 0
-	for i := range reqs {
-		total += len(reqs[i].Atts)
-	}
-	if cap(sc.atts) < total {
-		sc.atts = make([]*Attachment, 0, total)
-	}
-	if cap(sc.relReqs) < len(reqs) {
-		sc.relReqs = make([]ReleaseRequest, len(reqs))
-	}
-	atts, crossQ := sc.atts[:0], sc.cross[:0]
-	relReqs := sc.relReqs[:len(reqs)]
-	for i := range reqs {
-		req := &reqs[i]
-		rr := ReleaseRequest{Owner: req.Owner, CPU: req.CPU, VCPUs: req.VCPUs, LocalMem: req.LocalMem, Rack: req.Rack}
-		start := len(atts)
-		for _, att := range req.Atts {
-			if att.cross != nil {
-				crossQ = append(crossQ, crossItem{req: i, att: att})
-			} else {
-				atts = append(atts, att)
-			}
-		}
-		rr.Atts = atts[start:len(atts):len(atts)]
-		relReqs[i] = rr
-	}
-	sc.atts, sc.cross = atts, crossQ
-
-	if cap(sc.counts) < len(s.racks) {
-		sc.counts = make([]int, len(s.racks))
-		sc.offsets = make([]int, len(s.racks)+1)
-		sc.fill = make([]int, len(s.racks))
-		sc.active = make([]int, 0, len(s.racks))
-	}
-	counts, fill := sc.counts[:len(s.racks)], sc.fill[:len(s.racks)]
-	offsets := sc.offsets[:len(s.racks)+1]
-	clear(counts)
-	for i := range relReqs {
-		counts[relReqs[i].Rack]++
-	}
-	offsets[0] = 0
-	for r := range counts {
-		offsets[r+1] = offsets[r] + counts[r]
-	}
-	if cap(sc.subReq) < len(relReqs) {
-		sc.subReq = make([]ReleaseRequest, len(relReqs))
-		sc.subOut = make([]ReleaseResult, len(relReqs))
-		sc.pos = make([]int, len(relReqs))
-	}
-	subReq := sc.subReq[:len(relReqs)]
-	pos := sc.pos[:len(relReqs)]
-	copy(fill, offsets[:len(s.racks)])
-	for i := range relReqs {
-		r := relReqs[i].Rack
-		pos[i] = fill[r]
-		subReq[fill[r]] = relReqs[i]
-		fill[r]++
-	}
-}
-
-// evictShardMerge is the second half of the shard pipeline: gather the
-// rack ReleaseBatch results out of the scratch and run the cross-rack
-// phase, journaling for the row's rollback instead of aborting. It
-// returns the index of the first failed request and its error, or
-// (-1, nil) on success.
-func (s *PodScheduler) evictShardMerge(reqs []EvictRequest, out []EvictResult) (int, error) {
-	sc := &s.evict
-	if len(reqs) == 0 {
-		return -1, nil
-	}
-	relReqs := sc.relReqs[:len(reqs)]
-	subOut, pos, crossQ := sc.subOut, sc.pos[:len(reqs)], sc.cross
-
-	podLog := sc.podLog[:0]
-	for i := range relReqs {
-		if err := subOut[pos[i]].Err; err != nil {
-			sc.podLog = podLog
-			return i, err
-		}
-		out[i].DetachLat = subOut[pos[i]].DetachLat
-		out[i].Detached = subOut[pos[i]].Detached
-	}
-
-	for _, ci := range crossQ {
-		lat, err := s.batchDetachCross(ci.att, &podLog)
-		if err != nil {
-			sc.podLog = podLog
-			return ci.req, err
-		}
-		out[ci.req].DetachLat += lat
-		out[ci.req].Detached++
-	}
-	sc.podLog = podLog
-	return -1, nil
-}
-
-// batchDetachCross mirrors the row's detachCross — same validation,
-// counters, latency accounting and error surfaces, executed inline as
-// one merged commit — and journals the undo into the row-phase log.
-func (s *RowScheduler) batchDetachCross(att *Attachment, log *[]detachUndo) (sim.Duration, error) {
-	s.requests++
-	rackA := s.pods[att.CPUPod].racks[att.CPURack]
-	idx := -1
-	var list []*Attachment
-	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
-		list = rackA.attachments[id]
-	}
-	for i, a := range list {
-		if a == att {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod attachment for %q on %v not live", att.Owner, att.CPU)
-	}
-	node := rackA.compute(att.CPU)
-	rackB := s.pods[att.MemPod].racks[att.MemRack]
-	m := rackB.memory(att.Segment.Brick)
-
-	// crossNext is the attachment's successor in the cross-pod walk
-	// order, so rollback can re-thread it at the exact position.
-	crossNext := att.crossNext
-
-	if att.Mode == ModePacket {
-		memID := att.Segment.Brick
-		segOffset, segSize := att.Segment.Offset, att.Segment.Size
-		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if err := m.Release(att.Segment); err != nil {
-			s.failures++
-			return 0, err
-		}
-		if att.Circuit.Riders > 0 {
-			att.Circuit.Riders--
-		}
-		*log = append(*log, detachUndo{
-			att:       att,
-			packet:    true,
-			cpuRack:   rackA,
-			memRack:   rackB,
-			memID:     memID,
-			segOffset: segOffset,
-			segSize:   segSize,
-			attIdx:    idx,
-			row:       s,
-			crossNext: crossNext,
-		})
-		rackA.unregister(att)
-		s.removeCrossOrder(att)
-		rackB.touchMemory(memID)
-		return s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		s.failures++
-		return 0, fmt.Errorf("sdm: cross-pod circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-
-	cpu, memID := att.CPU, att.Segment.Brick
-	defer func() {
-		rackA.touchCompute(cpu)
-		rackB.touchMemory(memID)
-	}()
-	lat := s.cfg.DecisionLatency
-	t := s.tier(att.CPUPod, att.CPURack, att.MemPod, att.MemRack)
-	oldWindow := att.Window
-
-	if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-		s.failures++
-		return 0, err
-	}
-	lat += s.cfg.AgentRTT
-	d, err := t.disconnect(att.Circuit)
-	lat += d
-	if err != nil {
-		if uerr := node.Agent.Glue.Attach(oldWindow); uerr != nil {
-			s.failures++
-			return 0, fmt.Errorf("sdm: detach failed (%v) and rollback failed: %w", err, uerr)
-		}
-		s.failures++
-		return 0, err
-	}
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
-	if err := rackA.finishDetach(node, m, att); err != nil {
-		s.failures++
-		return 0, err
-	}
-	hosts := s.crossHosts[att.CPUPod][att.CPURack][rackA.cpuPos(att.CPU)]
-	crossHostIdx := 0
-	for i, a := range hosts {
-		if a == att {
-			crossHostIdx = i
-			break
-		}
-	}
-	*log = append(*log, detachUndo{
-		att:          att,
-		cpuRack:      rackA,
-		memRack:      rackB,
-		memID:        memID,
-		segOffset:    segOffset,
-		segSize:      segSize,
-		t:            t,
-		attIdx:       idx,
-		crossHostIdx: crossHostIdx,
-		row:          s,
-		crossNext:    crossNext,
-	})
-	ownerList := rackA.attachments[att.ownerID]
-	rackA.attachments[att.ownerID] = append(ownerList[:idx], ownerList[idx+1:]...)
-	s.removeCrossHost(att)
-	s.removeCrossOrder(att)
-	return lat, nil
-}
-
 // abortEvict replays every journal in reverse — the row phase first
 // (last torn down), then each pod's cross phase and rack teardowns —
 // re-reserves released compute out of each pod's shard scratch, and
@@ -475,44 +243,7 @@ func (s *RowScheduler) abortEvict(reqs []EvictRequest, rowLog []detachUndo, seqS
 		}
 	}
 	for p := len(s.pods) - 1; p >= 0; p-- {
-		ps := s.pods[p]
-		pc := &ps.evict
-		for i := len(pc.podLog) - 1; i >= 0; i-- {
-			if err := pc.podLog[i].undoDetach(); err != nil {
-				cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, pc.podLog[i].att.Owner, err)
-			}
-		}
-		pc.podLog = pc.podLog[:0]
-		for _, r := range ps.racks {
-			for i := len(r.undoLog) - 1; i >= 0; i-- {
-				if err := r.undoLog[i].undoDetach(); err != nil {
-					cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, r.undoLog[i].att.Owner, err)
-				}
-			}
-			r.undoLog = r.undoLog[:0]
-		}
-		for i := pc.shardN - 1; i >= 0; i-- {
-			res := &pc.subOut[pc.pos[i]]
-			if !res.released {
-				continue
-			}
-			rr := &pc.subReq[pc.pos[i]]
-			node := ps.racks[rr.Rack].compute(rr.CPU)
-			if rr.VCPUs > 0 {
-				if err := node.Brick.AllocCores(rr.VCPUs); err != nil {
-					cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
-				}
-			}
-			if rr.LocalMem > 0 {
-				if err := node.Brick.AllocLocal(rr.LocalMem); err != nil {
-					cause = fmt.Errorf("%w (and rollback of request %d failed: %v)", cause, i, err)
-				}
-			}
-			ps.racks[rr.Rack].touchCompute(rr.CPU)
-			res.released = false
-		}
-		ps.attachSeq = podSeq[p]
-		pc.shardN = 0
+		cause = s.pods[p].rollbackEvict(podSeq[p], cause)
 	}
 	s.attachSeq = seqStart
 	return fmt.Errorf("sdm: batch eviction rolled back at request %d (%q): %w", failed, reqs[failed].Owner, cause)

@@ -272,8 +272,12 @@ type Controller struct {
 	aggDefer   bool
 	aggPending bool
 
-	requests uint64
-	failures uint64
+	tally
+}
+
+// tally is a tier's cumulative request and failure counters.
+type tally struct {
+	requests, failures uint64
 }
 
 // BrickConfigs carries per-kind construction parameters for the bricks

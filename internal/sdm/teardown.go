@@ -1,24 +1,28 @@
 package sdm
 
-// Batched group-commit teardown, rack tier — the inverse of batch.go's
-// admission machinery. A churning pod retires VM-shaped consumers in
-// bursts, and serving them one DetachRemoteMemory/ReleaseCompute call
-// at a time repays an index-leaf refresh per touched brick per op.
-// ReleaseBatch amortizes it the same way PlaceBatch does: index touches
-// divert to the batch dirty sets and flush once per touched brick at
-// batch end, and each detach executes inline as one merged commit — the
-// same steps as the lifecycle engine's OpDetach, in the same order with
-// the same latency accounting, counters and error surfaces — so a batch
-// of size 1 reproduces the sequential detach path bit for bit.
+// Teardown, rack tier and below every tier. One body — detachSite.detach
+// — retires an attachment wherever it lives: per-request
+// DetachRemoteMemory at the rack, pod and row tiers, ReleaseBatch's
+// rack-local teardowns, and the pod and row EvictBatch cross phases all
+// call it, differing only in the site they pass (endpoint racks,
+// circuit tier, host table, walk order, counters) and in whether they
+// journal. The body validates liveness and riders, releases the ports
+// and segment, removes the TGL window and tears the circuit down, with
+// the same latency accounting, counters and error surfaces at every
+// tier — so a batch of size 1 reproduces the sequential detach path bit
+// for bit, and a refused detach leaves the attachment live everywhere.
 //
-// Every teardown appends an undo record to the controller's journal.
-// The record captures exactly what the detach destroyed — the segment
-// offsets, the port IDs, the registration positions — so the pod tier's
-// all-or-nothing EvictBatch can replay the journal in reverse and
-// restore the pre-batch state byte-identically (segments re-carved at
-// their exact offsets, the exact ports re-acquired, circuits rebuilt
-// and re-keyed for any packet-mode riders, crossOrder re-threaded
-// without re-stamping spill sequence numbers).
+// ReleaseBatch amortizes index maintenance the way PlaceBatch does:
+// touches divert to the batch dirty sets and flush once per touched
+// brick at batch end. Every batch teardown appends an undo record to a
+// journal. The record captures exactly what the detach destroyed — the
+// segment offsets, the port IDs, the registration positions — so the
+// pod tier's all-or-nothing EvictBatch can replay the journal in
+// reverse and restore the pre-batch state byte-identically (segments
+// re-carved at their exact offsets, the exact ports re-acquired,
+// circuits rebuilt and re-keyed for any packet-mode riders, the walk
+// order re-threaded without re-stamping spill sequence numbers).
+// Per-request detaches pass no journal and never grow one.
 
 import (
 	"fmt"
@@ -65,6 +69,26 @@ type ReleaseResult struct {
 	released bool
 }
 
+// detachSite locates one attachment's teardown: its two endpoint
+// controllers (the same one for rack-local attachments), the optical
+// tier its circuit rides, the per-compute-ordinal host table its
+// circuit registers in on the compute rack, the walk order of the tier
+// that owns it (nil at rack tier), that tier's counters, and the noun
+// its error texts use.
+type detachSite struct {
+	cpuRack, memRack *Controller
+	t                connector
+	hostTab          [][]*Attachment
+	order            *crossList
+	stats            *tally
+	noun             string
+}
+
+// localSite is the detach site of a rack-local attachment of c.
+func (c *Controller) localSite() detachSite {
+	return detachSite{cpuRack: c, memRack: c, t: c.rackTier(), hostTab: c.circuitHosts, stats: &c.tally}
+}
+
 // detachUndo records one teardown so an aborting batch can restore the
 // attachment exactly: same segment offset, same ports, same positions
 // in every registration index, same spill sequence number.
@@ -72,12 +96,12 @@ type detachUndo struct {
 	att    *Attachment
 	packet bool
 
-	// cpuRack/memRack are the controllers owning the two endpoints (the
-	// same controller for rack-local attachments); memID/segOffset/segSize
-	// the released segment's identity, captured before the Release because
-	// the segment object returns to its brick's arena and may be recycled
-	// by the time rollback replays the record — rollback re-carves at the
-	// exact offset.
+	// cpuRack/memRack are the controllers owning the two endpoints and t
+	// the circuit's tier; memID/segOffset/segSize the released segment's
+	// identity, captured before the Release because the segment object
+	// returns to its brick's arena and may be recycled by the time
+	// rollback replays the record — rollback re-carves at the exact
+	// offset.
 	cpuRack   *Controller
 	memRack   *Controller
 	memID     topo.BrickID
@@ -85,25 +109,19 @@ type detachUndo struct {
 	segSize   brick.Bytes
 	t         connector
 
-	// attIdx is the attachment's position in attachments[owner];
-	// hostIdx its position in circuitHosts[cpu] (rack-local circuit
-	// mode), crossHostIdx its position in crossHosts (pod circuit mode).
-	attIdx       int
-	hostIdx      int
-	crossHostIdx int
+	// hosts is the host slot of the attachment's compute brick (its own
+	// position there is hostIdx in circuit mode; a packet rider's host is
+	// found there), attIdx its position in attachments[owner].
+	hosts   *[]*Attachment
+	hostIdx int
+	attIdx  int
 
-	// pod (or row, one tier up) and crossNext restore the spill walk
-	// order: the attachment is re-inserted before crossNext (appended
-	// when nil) with its original seq — attachSeq itself never moves on
-	// teardown. At most one of pod/row is set.
-	pod       *PodScheduler
-	row       *RowScheduler
+	// order and crossNext restore a cross attachment's walk order: it is
+	// re-inserted before crossNext (appended when nil) with its original
+	// seq — attachSeq itself never moves on teardown. nil at rack tier.
+	order     *crossList
 	crossNext *Attachment
 }
-
-// undoLog is the controller's teardown journal for the in-flight batch.
-// It lives on the controller so the pod tier's parallel per-rack phase
-// journals without sharing state across racks.
 
 // beginTeardown opens batch mode and resets the teardown journal.
 func (c *Controller) beginTeardown() {
@@ -125,11 +143,21 @@ func (c *Controller) ReleaseBatch(reqs []ReleaseRequest, out []ReleaseResult) {
 	c.endBatch()
 }
 
-// releaseOne serves one retirement of a batch.
+// releaseOne serves one retirement of a batch. Cross attachments are
+// their scheduler's to tear down, never a rack batch's.
 func (c *Controller) releaseOne(req *ReleaseRequest, res *ReleaseResult) {
 	*res = ReleaseResult{}
+	site := c.localSite()
 	for _, att := range req.Atts {
-		lat, err := c.batchDetach(att)
+		if att.crossRow != nil {
+			res.Err = fmt.Errorf("sdm: cross-pod attachment of %q in a rack-local release batch", att.Owner)
+			return
+		}
+		if att.cross != nil {
+			res.Err = fmt.Errorf("sdm: cross-rack attachment of %q in a rack-local release batch", att.Owner)
+			return
+		}
+		lat, err := site.detach(att, &c.undoLog)
 		if err != nil {
 			res.Err = err
 			return
@@ -146,22 +174,18 @@ func (c *Controller) releaseOne(req *ReleaseRequest, res *ReleaseResult) {
 	}
 }
 
-// batchDetach mirrors DetachRemoteMemory's rack-local teardown — the
-// same validation, counters, latency accounting and error surfaces as
-// the lifecycle engine's OpDetach, executed inline as one merged commit
-// — and journals an undo record. Pod-tier cross-rack attachments are
-// the pod scheduler's to tear down, never this path's.
-func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return 0, fmt.Errorf("sdm: cross-pod attachment of %q in a rack-local release batch", att.Owner)
-	}
-	if att.cross != nil {
-		return 0, fmt.Errorf("sdm: cross-rack attachment of %q in a rack-local release batch", att.Owner)
-	}
-	c.requests++
+// detach is the one teardown body (see the file comment). A packet
+// rider drops its window and segment; a circuit attachment releases its
+// ports and segment, then drops its window and circuit. Every failure
+// leaves the attachment live — registered, its window mapped and its
+// circuit up — and journal, when non-nil, receives the undo record of
+// a completed teardown.
+func (st detachSite) detach(att *Attachment, journal *[]detachUndo) (sim.Duration, error) {
+	rackA, rackB := st.cpuRack, st.memRack
+	st.stats.requests++
 	idx := -1
-	if id := int(att.ownerID); id >= 0 && id < len(c.attachments) {
-		for i, a := range c.attachments[id] {
+	if id := int(att.ownerID); id >= 0 && id < len(rackA.attachments) {
+		for i, a := range rackA.attachments[id] {
 			if a == att {
 				idx = i
 				break
@@ -169,124 +193,123 @@ func (c *Controller) batchDetach(att *Attachment) (sim.Duration, error) {
 		}
 	}
 	if idx == -1 {
-		c.failures++
-		return 0, fmt.Errorf("sdm: attachment for %q on %v not live", att.Owner, att.CPU)
+		st.stats.failures++
+		return 0, fmt.Errorf("sdm: %sattachment for %q on %v not live", st.noun, att.Owner, att.CPU)
 	}
+	cfg := &rackA.cfg
+	cpuOrd := rackA.cpuPos(att.CPU)
+	node := rackA.computes[cpuOrd]
+	memID := att.Segment.Brick
+	m := rackB.memory(memID)
+	u := detachUndo{
+		att: att, cpuRack: rackA, memRack: rackB, t: st.t,
+		memID: memID, segOffset: att.Segment.Offset, segSize: att.Segment.Size,
+		hosts: &st.hostTab[cpuOrd], attIdx: idx,
+		order: st.order, crossNext: att.crossNext,
+	}
+	var lat sim.Duration
 	if att.Mode == ModePacket {
-		return c.batchDetachPacket(att, idx)
-	}
-	if n := att.Circuit.Riders; n > 0 {
-		c.failures++
-		return 0, fmt.Errorf("sdm: circuit of %q on %v carries %d packet-mode riders; detach them first", att.Owner, att.CPU, n)
-	}
-
-	cpuOrd := c.cpuPos(att.CPU)
-	node := c.computes[cpuOrd]
-	m := c.memory(att.Segment.Brick)
-	cpu, memID := att.CPU, att.Segment.Brick
-	// The op's touch hooks, deferred so every exit marks both endpoints
-	// dirty exactly as Commit would have touched them.
-	defer func() {
-		c.touchCompute(cpu)
-		c.touchMemory(memID)
-	}()
-	lat := c.cfg.DecisionLatency
-	t := c.rackTier()
-	oldWindow := att.Window
-
-	// Window removal.
-	if err := node.Agent.Glue.Detach(oldWindow.Base); err != nil {
-		c.failures++
-		return 0, err
-	}
-	lat += c.cfg.AgentRTT
-	// Circuit teardown.
-	d, err := t.disconnect(att.Circuit)
-	lat += d
-	if err != nil {
-		if uerr := node.Agent.Glue.Attach(oldWindow); uerr != nil {
-			c.failures++
-			return 0, fmt.Errorf("sdm: detach failed (%v) and rollback failed: %w", err, uerr)
+		if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
+			st.stats.failures++
+			return 0, err
 		}
-		c.failures++
-		return 0, err
-	}
-	// Capture the segment identity before the release returns the object
-	// to its brick's arena.
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
-	// Ports, segment, unregistration — final, mirroring planDetach's
-	// irreversible last step.
-	if err := c.finishDetach(node, m, att); err != nil {
-		c.failures++
-		return 0, err
-	}
-	hostIdx := 0
-	for i, a := range c.circuitHosts[cpuOrd] {
-		if a == att {
-			hostIdx = i
-			break
+		if err := m.Release(att.Segment); err != nil {
+			// Re-installing the window just removed cannot fail.
+			_ = node.Agent.Glue.Attach(att.Window)
+			st.stats.failures++
+			return 0, err
+		}
+		if att.Circuit.Riders > 0 {
+			att.Circuit.Riders--
+		}
+		u.packet = true
+		rackB.touchMemory(memID)
+		// Two lookup-table pushes plus the decision.
+		lat = cfg.DecisionLatency + 2*cfg.AgentRTT
+	} else {
+		if n := att.Circuit.Riders; n > 0 {
+			st.stats.failures++
+			return 0, fmt.Errorf("sdm: %scircuit of %q on %v carries %d packet-mode riders; detach them first", st.noun, att.Owner, att.CPU, n)
+		}
+		// Touch both endpoints on every exit, exactly once.
+		cpu := att.CPU
+		defer func() {
+			rackA.touchCompute(cpu)
+			rackB.touchMemory(memID)
+		}()
+		// The releases run first: they are what a live attachment can
+		// refuse (a quarantined port refuses release), so a refusal
+		// leaves it untouched, and any later failure re-claims them.
+		released, err := u.release(node, m)
+		if err == nil {
+			lat = cfg.DecisionLatency
+			if err = node.Agent.Glue.Detach(att.Window.Base); err == nil {
+				lat += cfg.AgentRTT
+				var d sim.Duration
+				d, err = st.t.disconnect(att.Circuit)
+				lat += d
+				if err != nil {
+					if uerr := node.Agent.Glue.Attach(att.Window); uerr != nil {
+						err = fmt.Errorf("sdm: detach failed (%v) and rollback failed: %w", err, uerr)
+					}
+				}
+			}
+		}
+		if err != nil {
+			u.unrelease(node, m, released)
+			st.stats.failures++
+			return 0, err
+		}
+		hosts := *u.hosts
+		for i, a := range hosts {
+			if a == att {
+				u.hostIdx = i
+				*u.hosts = append(hosts[:i], hosts[i+1:]...)
+				break
+			}
 		}
 	}
-	c.undoLog = append(c.undoLog, detachUndo{
-		att:       att,
-		cpuRack:   c,
-		memRack:   c,
-		memID:     memID,
-		segOffset: segOffset,
-		segSize:   segSize,
-		t:         t,
-		attIdx:    idx,
-		hostIdx:   hostIdx,
-	})
-	list := c.attachments[att.ownerID]
-	c.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
-	c.removeCircuitHost(att)
+	if journal != nil {
+		*journal = append(*journal, u)
+	}
+	list := rackA.attachments[att.ownerID]
+	rackA.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
+	if st.order != nil {
+		st.order.remove(att)
+	}
 	return lat, nil
 }
 
-// finishDetach releases the ports and segment of a circuit teardown —
-// the shared tail of the rack and pod merged detach paths.
-func (c *Controller) finishDetach(node *ComputeNode, m *brick.Memory, att *Attachment) error {
-	if err := node.Brick.Ports.Release(att.CPUPort); err != nil {
-		return err
+// release frees a circuit attachment's CPU port, memory port and
+// segment in that order, stopping at the first refusal, and returns how
+// many releases completed.
+func (u *detachUndo) release(node *ComputeNode, m *brick.Memory) (int, error) {
+	if err := node.Brick.Ports.Release(u.att.CPUPort); err != nil {
+		return 0, err
 	}
-	if err := m.Ports.Release(att.MemPort); err != nil {
-		return err
+	if err := m.Ports.Release(u.att.MemPort); err != nil {
+		return 1, err
 	}
-	return m.Release(att.Segment)
+	if err := m.Release(u.att.Segment); err != nil {
+		return 2, err
+	}
+	return 3, nil
 }
 
-// batchDetachPacket mirrors detachPacket and journals the undo.
-func (c *Controller) batchDetachPacket(att *Attachment, idx int) (sim.Duration, error) {
-	node := c.compute(att.CPU)
-	memID := att.Segment.Brick
-	m := c.memory(memID)
-	segOffset, segSize := att.Segment.Offset, att.Segment.Size
-	if err := node.Agent.Glue.Detach(att.Window.Base); err != nil {
-		c.failures++
-		return 0, err
+// unrelease re-claims the first n releases of a refused teardown, in
+// reverse and at their exact identities: the segment re-carves at its
+// offset, the ports re-acquire by number. Each re-claims what this
+// teardown itself just freed, so none can fail.
+func (u *detachUndo) unrelease(node *ComputeNode, m *brick.Memory, n int) {
+	if n > 2 {
+		u.att.Segment, _ = m.CarveAt(u.segOffset, u.segSize, u.att.Owner)
 	}
-	if err := m.Release(att.Segment); err != nil {
-		c.failures++
-		return 0, err
+	if n > 1 {
+		_ = m.Ports.Reacquire(u.att.MemPort)
 	}
-	if att.Circuit.Riders > 0 {
-		att.Circuit.Riders--
+	if n > 0 {
+		_ = node.Brick.Ports.Reacquire(u.att.CPUPort)
 	}
-	c.undoLog = append(c.undoLog, detachUndo{
-		att:       att,
-		packet:    true,
-		cpuRack:   c,
-		memRack:   c,
-		memID:     memID,
-		segOffset: segOffset,
-		segSize:   segSize,
-		attIdx:    idx,
-	})
-	list := c.attachments[att.ownerID]
-	c.attachments[att.ownerID] = append(list[:idx], list[idx+1:]...)
-	c.touchMemory(memID)
-	return c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil
 }
 
 // insertAtt re-inserts att into list at position idx.
@@ -314,9 +337,12 @@ func (u *detachUndo) undoDetach() error {
 	att.Segment = seg
 	if u.packet {
 		// Re-key onto the host circuit, which a circuit-mode restore may
-		// have rebuilt: the live host for this CPU port carries it.
-		if host := findHost(rackA, u.pod, u.row, att); host != nil {
-			att.Circuit = host.Circuit
+		// have rebuilt: the live host on this CPU port carries it.
+		for _, h := range *u.hosts {
+			if h.CPUPort == att.CPUPort {
+				att.Circuit = h.Circuit
+				break
+			}
 		}
 		if err := node.Agent.Glue.Attach(att.Window); err != nil {
 			m.Release(seg)
@@ -348,61 +374,17 @@ func (u *detachUndo) undoDetach() error {
 			m.Release(seg)
 			return err
 		}
+		*u.hosts = insertAtt(*u.hosts, u.hostIdx, att)
 	}
 	// Registrations go back at their recorded positions.
 	rackA.register(att)
 	list := rackA.attachments[att.ownerID]
 	rackA.attachments[att.ownerID] = insertAtt(list[:len(list)-1], u.attIdx, att)
-	cpuOrd := rackA.cpuPos(att.CPU)
-	if !u.packet {
-		switch {
-		case u.row != nil:
-			hosts := u.row.crossHosts[att.CPUPod][att.CPURack]
-			hosts[cpuOrd] = insertAtt(hosts[cpuOrd], u.crossHostIdx, att)
-		case u.pod != nil:
-			hosts := u.pod.crossHosts[att.CPURack]
-			hosts[cpuOrd] = insertAtt(hosts[cpuOrd], u.crossHostIdx, att)
-		default:
-			rackA.circuitHosts[cpuOrd] = insertAtt(rackA.circuitHosts[cpuOrd], u.hostIdx, att)
-		}
-	}
-	if u.row != nil {
-		// Re-thread the cross-pod walk order without re-stamping seq.
-		u.row.cross.insertBefore(att, u.crossNext)
-	} else if u.pod != nil {
-		// Re-thread the rebalancer walk order without re-stamping seq.
-		u.pod.cross.insertBefore(att, u.crossNext)
+	if u.order != nil {
+		// Re-thread the walk order without re-stamping seq.
+		u.order.insertBefore(att, u.crossNext)
 	}
 	rackA.touchCompute(att.CPU)
 	u.memRack.touchMemory(u.memID)
-	return nil
-}
-
-// findHost locates the live circuit-mode attachment whose circuit a
-// packet rider shares: same CPU port, circuit mode.
-func findHost(rackA *Controller, pod *PodScheduler, row *RowScheduler, rider *Attachment) *Attachment {
-	if row != nil {
-		ord := rackA.cpuPos(rider.CPU)
-		for _, a := range row.crossHosts[rider.CPUPod][rider.CPURack][ord] {
-			if a.CPUPort == rider.CPUPort {
-				return a
-			}
-		}
-		return nil
-	}
-	if pod != nil {
-		ord := rackA.cpuPos(rider.CPU)
-		for _, a := range pod.crossHosts[rider.CPURack][ord] {
-			if a.CPUPort == rider.CPUPort {
-				return a
-			}
-		}
-		return nil
-	}
-	for _, a := range rackA.circuitHosts[rackA.cpuPos(rider.CPU)] {
-		if a.CPUPort == rider.CPUPort {
-			return a
-		}
-	}
 	return nil
 }

@@ -507,3 +507,152 @@ func TestConsolidateDrainsAndPowersDown(t *testing.T) {
 		t.Fatal("consolidation lost a live attachment")
 	}
 }
+
+// quarantineCPUPort withdraws the CPU-side port a live attachment
+// holds, so releasing it — and with it the detach — is refused.
+func quarantineCPUPort(t *testing.T, rack *Controller, att *Attachment) {
+	t.Helper()
+	node, ok := rack.Compute(att.CPU)
+	if !ok {
+		t.Fatalf("no compute brick %v", att.CPU)
+	}
+	if err := node.Brick.Ports.Quarantine(att.CPUPort); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// quarantineMemPort withdraws the memory-side port of a rack-local
+// attachment instead: the CPU port releases first and must be
+// re-acquired when the memory port refuses.
+func quarantineMemPort(t *testing.T, rack *Controller, att *Attachment) {
+	t.Helper()
+	m, ok := rack.Memory(att.Segment.Brick)
+	if !ok {
+		t.Fatalf("no memory brick %v", att.Segment.Brick)
+	}
+	if err := m.Ports.Quarantine(att.MemPort); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefusedDetachLeavesAttachmentLive: a detach refused because the
+// attachment's own CPU port was quarantined must fail at every entry
+// point — per request and as a batch of one, at rack, pod and row tier
+// — leaving the attachment registered, its window mapped and its
+// circuit live. Per-request and batch twins must end byte-identical,
+// counters included, and apart from counters exactly as they started.
+func TestRefusedDetachLeavesAttachmentLive(t *testing.T) {
+	// buildPod places one VM with a rack-local attachment (filling its
+	// rack's memory) and a cross-rack spill.
+	buildPod := func(t *testing.T) (*PodScheduler, topo.PodBrickID, [2]*Attachment) {
+		s := buildPodSched(t, 2, 2*brick.GiB, 4, DefaultConfig)
+		cpu, _, err := s.ReserveCompute("vm", 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var atts [2]*Attachment
+		for i, size := range []brick.Bytes{2 * brick.GiB, brick.GiB} {
+			if atts[i], _, err = s.AttachRemoteMemory("vm", cpu, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if atts[0].CrossRack() || !atts[1].CrossRack() {
+			t.Fatal("setup: want one rack-local attachment and one cross-rack spill")
+		}
+		return s, cpu, atts
+	}
+	// podCase quarantines a port of the pod VM's attachment i and
+	// refuses its detach, through the per-request entry point or the
+	// batch engine.
+	podCase := func(i int, quarantine func(*testing.T, *Controller, *Attachment), detach func(s *PodScheduler, cpu topo.PodBrickID, att *Attachment, batch bool) error) func(*testing.T, bool) string {
+		return func(t *testing.T, batch bool) string {
+			s, cpu, atts := buildPod(t)
+			quarantine(t, s.Rack(cpu.Rack), atts[i])
+			before := podSnapshotNoCounters(t, s)
+			if err := detach(s, cpu, atts[i], batch); err == nil {
+				t.Fatal("detach over a quarantined port succeeded")
+			}
+			if after := podSnapshotNoCounters(t, s); after != before {
+				t.Fatalf("refused detach changed state:\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			r, f, sp := s.Stats()
+			return fmt.Sprintf("%s\npod %d/%d/%d", podSnapshotJSON(t, s), r, f, sp)
+		}
+	}
+	evict := func(s *PodScheduler, cpu topo.PodBrickID, att *Attachment, batch bool) error {
+		if !batch {
+			_, err := s.DetachRemoteMemory(att)
+			return err
+		}
+		_, err := s.EvictBatch([]EvictRequest{{Owner: "vm", CPU: cpu.Brick, Rack: cpu.Rack, Atts: []*Attachment{att}}}, 1)
+		return err
+	}
+	release := func(s *PodScheduler, cpu topo.PodBrickID, att *Attachment, batch bool) error {
+		rack := s.Rack(cpu.Rack)
+		if !batch {
+			_, err := rack.DetachRemoteMemory(att)
+			return err
+		}
+		out := make([]ReleaseResult, 1)
+		rack.ReleaseBatch([]ReleaseRequest{{Owner: "vm", CPU: cpu.Brick, Atts: []*Attachment{att}}}, out)
+		return out[0].Err
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, batch bool) string
+	}{
+		{"rack/ReleaseBatch", podCase(0, quarantineCPUPort, release)},
+		{"rack/ReleaseBatch/memory-port", podCase(0, quarantineMemPort, release)},
+		{"pod/EvictBatch/rack-local", podCase(0, quarantineCPUPort, evict)},
+		{"pod/EvictBatch/cross-rack", podCase(1, quarantineCPUPort, evict)},
+		{"row/EvictBatch/cross-pod", func(t *testing.T, batch bool) string {
+			s := buildRowSched(t, 2, 2, 2*brick.GiB, DefaultConfig)
+			cpu, _, err := s.ReserveCompute("vm", 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var att *Attachment
+			for i := 0; i < 3; i++ {
+				if att, _, err = s.AttachRemoteMemory("vm", cpu, 2*brick.GiB); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !att.CrossPod() {
+				t.Fatal("setup: want a cross-pod spill")
+			}
+			rackA := s.Pod(cpu.Pod).Rack(cpu.Rack)
+			quarantineCPUPort(t, rackA, att)
+			before := rowFingerprint(t, s, false)
+			if batch {
+				_, err = s.EvictBatch([]EvictRequest{{Owner: "vm", CPU: cpu.Brick, Rack: cpu.Rack, Pod: cpu.Pod, Atts: []*Attachment{att}}}, 1)
+			} else {
+				_, err = s.DetachRemoteMemory(att)
+			}
+			if err == nil {
+				t.Fatal("detach over a quarantined port succeeded")
+			}
+			if after := rowFingerprint(t, s, false); after != before {
+				t.Fatalf("refused detach changed state:\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			for p := 0; p < s.Pods(); p++ {
+				for r := 0; r < s.Pod(p).Racks(); r++ {
+					if err := s.Pod(p).Rack(r).checkDatapath(r); err != nil {
+						t.Fatalf("pod %d: %v", p, err)
+					}
+				}
+			}
+			r, f, sp := s.Stats()
+			return fmt.Sprintf("%s\nrow %d/%d/%d", rowFingerprint(t, s, true), r, f, sp)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if seq, bat := tc.run(t, false), tc.run(t, true); seq != bat {
+				t.Fatalf("per-request and batch-of-one diverge:\nper-request:\n%s\nbatch:\n%s", seq, bat)
+			}
+		})
+	}
+}
