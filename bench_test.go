@@ -14,6 +14,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -619,8 +620,9 @@ var scalingBase = map[string]float64{}
 
 // reportScaling emits one scaling sub-benchmark's throughput plus
 // scaling-eff — parallel efficiency, throughput at w workers divided
-// by w times the same family's workers=1 throughput (1.0 at workers=1
-// by construction; 1/w is the floor a single-core box bottoms out at).
+// by min(w, GOMAXPROCS) times the same family's workers=1 throughput
+// (1.0 at workers=1 by construction). Workers beyond the cores that
+// exist cannot add speed, so they do not count as lost efficiency.
 // The unit deliberately does not end in /s: efficiency is trajectory
 // telemetry, not a gated throughput, so bench-check tracks it without
 // failing hosts whose core count caps the achievable efficiency.
@@ -630,7 +632,7 @@ func reportScaling(b *testing.B, family string, workers int, perS float64, unit 
 		scalingBase[family] = perS
 	}
 	if base := scalingBase[family]; base > 0 {
-		b.ReportMetric(perS/(float64(workers)*base), "scaling-eff")
+		b.ReportMetric(perS/(float64(min(workers, runtime.GOMAXPROCS(0)))*base), "scaling-eff")
 	}
 }
 

@@ -30,8 +30,10 @@
 // Names are host-independent: `go test -bench` appends -<GOMAXPROCS>
 // to every benchmark name when GOMAXPROCS is not 1, so benchjson strips
 // exactly that suffix (its own GOMAXPROCS, which the pipe shares with
-// the `go test` run) and records GOMAXPROCS in the artifact. A baseline
-// recorded on one machine shape thus matches a run on another.
+// the `go test` run) and records GOMAXPROCS and NumCPU in the artifact.
+// A baseline recorded on one machine shape thus matches a run on
+// another; -compare prints one warning line when the two shapes differ,
+// since the numbers are then not like for like.
 package main
 
 import (
@@ -60,7 +62,26 @@ type Baseline struct {
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
+	NumCPU     int         `json:"numcpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// shapeWarning describes how the machine shapes (GOMAXPROCS, NumCPU)
+// of a baseline and a fresh run differ, or returns "" when they match.
+// A field a baseline does not record reads as 1.
+func shapeWarning(base, fresh Baseline) string {
+	orOne := func(n int) int {
+		if n == 0 {
+			return 1
+		}
+		return n
+	}
+	bp, bc := orOne(base.GOMAXPROCS), orOne(base.NumCPU)
+	fp, fc := orOne(fresh.GOMAXPROCS), orOne(fresh.NumCPU)
+	if bp == fp && bc == fc {
+		return ""
+	}
+	return fmt.Sprintf("benchjson: warning: machine shape differs: baseline gomaxprocs=%d numcpu=%d, fresh gomaxprocs=%d numcpu=%d", bp, bc, fp, fc)
 }
 
 // metric looks one benchmark's metric up by name.
@@ -221,6 +242,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	fresh.NumCPU = runtime.NumCPU()
 	if len(fresh.Benchmarks) == 0 {
 		fail(fmt.Errorf("no benchmark lines on stdin"))
 	}
@@ -263,6 +285,9 @@ func main() {
 	var base Baseline
 	if err := json.Unmarshal(data, &base); err != nil {
 		fail(fmt.Errorf("parsing %s: %w", *compare, err))
+	}
+	if w := shapeWarning(base, fresh); w != "" {
+		fmt.Println(w)
 	}
 	regressions := 0
 	checked := 0

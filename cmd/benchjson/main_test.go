@@ -62,3 +62,30 @@ func TestParseStripsGOMAXPROCSSuffix(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeWarning pins the machine-shape check of -compare: one line
+// when GOMAXPROCS or NumCPU differ, nothing when they match, and a
+// field the baseline does not record reads as 1.
+func TestShapeWarning(t *testing.T) {
+	cases := []struct {
+		name        string
+		base, fresh Baseline
+		warn        bool
+	}{
+		{"same shape", Baseline{GOMAXPROCS: 2, NumCPU: 2}, Baseline{GOMAXPROCS: 2, NumCPU: 2}, false},
+		{"gomaxprocs differs", Baseline{GOMAXPROCS: 1, NumCPU: 2}, Baseline{GOMAXPROCS: 2, NumCPU: 2}, true},
+		{"numcpu differs", Baseline{GOMAXPROCS: 2, NumCPU: 2}, Baseline{GOMAXPROCS: 2, NumCPU: 4}, true},
+		{"unrecorded reads as 1", Baseline{}, Baseline{GOMAXPROCS: 1, NumCPU: 1}, false},
+		{"unrecorded vs multi-core", Baseline{}, Baseline{GOMAXPROCS: 2, NumCPU: 2}, true},
+		{"unrecorded numcpu only", Baseline{GOMAXPROCS: 2}, Baseline{GOMAXPROCS: 2, NumCPU: 2}, true},
+	}
+	for _, c := range cases {
+		w := shapeWarning(c.base, c.fresh)
+		if (w != "") != c.warn {
+			t.Errorf("%s: warning %q, want warning=%v", c.name, w, c.warn)
+		}
+		if strings.Contains(w, "\n") {
+			t.Errorf("%s: warning spans lines: %q", c.name, w)
+		}
+	}
+}

@@ -305,9 +305,7 @@ func TestPipelineRowTier(t *testing.T) {
 	if bp.Drain() > seqRow.Now() {
 		t.Fatalf("drained pipeline clock %v exceeds serialized %v", bp.Drain(), seqRow.Now())
 	}
-	for p := 0; p < pipRow.Pods(); p++ {
-		if err := pipRow.Scheduler().Pod(p).CheckInvariants(); err != nil {
-			t.Fatalf("pod %d: %v", p, err)
-		}
+	if err := pipRow.Scheduler().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,14 +1,16 @@
 package sdm
 
-// Hierarchical aggregates for the row tier. A podAgg is one pod's
+// Hierarchical aggregates for the row tier. A podAgg is one pod's own
 // cached summary — free cores, free memory, max memory gap, and the
-// per-power-state brick census — rolled up from the rack index roots.
-// Each rack Controller carries a back-pointer (agg/aggSlot, installed
-// by the row scheduler); every index maintenance choke point
-// (touch/flush/rebuild) re-reads that rack's O(1) root aggregates and
-// applies the delta to the pod summary, so the row scheduler's pod
-// choice is O(pods) arithmetic over cached values — never a rescan of
-// racks, let alone bricks. This is the same trick the pod tier plays
+// per-power-state brick census — rolled up from the rack index roots;
+// it is how a pod answers its row the O(1) questions a rack answers
+// its pod (the child contract in tier.go). The pod installs it when it
+// joins a row (PodScheduler.agg), and each of its rack Controllers
+// carries a back-pointer (agg/aggSlot); every index maintenance choke
+// point (touch/flush/rebuild) re-reads that rack's O(1) root aggregates
+// and applies the delta to the pod summary, so the row's pod choice is
+// O(pods) arithmetic over cached values — never a rescan of racks, let
+// alone bricks. This is the same trick the pod tier plays
 // on rack index roots, applied one level up: rack roots are the leaves
 // of the pod summary, pod summaries are the leaves of the row's pick
 // loop.
@@ -23,8 +25,8 @@ package sdm
 //
 // Aggregates are only installed in indexed-scan mode: under ScanLinear
 // the touch hooks return before notifying (faithful to the baseline's
-// cost profile), so the summaries would go stale; the row scheduler
-// falls back to summing rack roots directly there.
+// cost profile), so the summaries would go stale; the pod sums its rack
+// roots on demand there.
 
 import "repro/internal/brick"
 

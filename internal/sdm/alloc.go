@@ -250,15 +250,12 @@ func (c *Controller) AttachRemoteMemory(owner string, cpu topo.BrickID, size bri
 }
 
 // DetachRemoteMemory tears an attachment down and returns the
-// orchestration latency; a refused detach leaves it live. Pod- and row-tier cross
-// attachments route to their owning scheduler, so rack-local callers
-// need not distinguish them.
+// orchestration latency; a refused detach leaves it live. Pod- and
+// row-tier cross attachments route to their owning tier, so rack-local
+// callers need not distinguish them.
 func (c *Controller) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
-	switch {
-	case att.crossRow != nil:
-		return att.crossRow.crossSite(att).detach(att, nil)
-	case att.cross != nil:
-		return att.cross.crossSite(att).detach(att, nil)
+	if att.cross != nil {
+		return att.cross.spec.crossSite(att).detach(att, nil)
 	}
 	return c.localSite().detach(att, nil)
 }

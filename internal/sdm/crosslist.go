@@ -1,14 +1,19 @@
 package sdm
 
-// crossTier is the bookkeeping a pod or row scheduler keeps for the
-// attachments it spills across its tier, embedded in both: their
-// oldest-first walk order (each stamped with a seq from attachSeq), the
-// tier's counters and its spill count.
+// crossTier is the bookkeeping a pod or row tier keeps for the
+// attachments it spills across itself: their oldest-first walk order
+// (each stamped with a seq from attachSeq), the tier's counters and its
+// spill count. A cross attachment's owner tag points here; lvl (0 pod,
+// 1 row) names the tier's host tables on the racks, and spec reaches
+// the owning scheduler — the detach site it builds and the re-point it
+// allows.
 type crossTier struct {
 	tally
 	cross     crossList
 	attachSeq uint64
 	spills    uint64
+	lvl       int
+	spec      tierSpec
 }
 
 // addCrossOrder stamps an attachment with the next spill sequence

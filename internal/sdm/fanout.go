@@ -33,12 +33,16 @@ func (f *fanout) work() {
 	}
 }
 
-// run executes fn(0..n-1) on a pool of at most workers goroutines,
-// handing out indexes through the shared atomic counter. Callers
+// each executes fn(0..n-1) on a pool of at most workers goroutines
+// (<= 0 meaning GOMAXPROCS), handing out indexes through the shared
+// atomic counter — the one fan-out of every batch wave. Callers
 // guarantee the iterations write disjoint state, so scheduling order
-// cannot affect the outcome. workers <= 1 runs inline and allocates
+// cannot affect the outcome. A pool of one runs inline and allocates
 // nothing — the path the alloc-free steady-state tests pin.
-func (f *fanout) run(workers, n int, fn func(i int)) {
+func (f *fanout) each(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -56,13 +60,4 @@ func (f *fanout) run(workers, n int, fn func(i int)) {
 	}
 	f.wg.Wait()
 	f.fn = nil
-}
-
-// resolveWorkers maps the public worker-count contract (<= 0 means
-// GOMAXPROCS) onto a concrete pool size.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
 }

@@ -2,11 +2,12 @@ package sdm
 
 // Conservation invariants for the randomized churn harness. After any
 // quiesced batch — admission, eviction, rebalance, consolidation — the
-// scheduler's derived state (index roots, registration indexes, rider
-// counts, the rebalancer walk order, the power census) must answer
-// exactly what a ground-truth rescan of the bricks answers, and every
-// registered attachment's datapath (window and circuit) must be live. The checker
-// is O(everything) by design: it is a test oracle, not a hot path.
+// scheduler's derived state (index roots, registration indexes, host
+// tables, rider counts, the walk orders, the power census and the pod
+// summaries) must answer exactly what a ground-truth rescan of the
+// bricks answers, and every registered attachment's datapath (window
+// and circuit) must be live. One checker serves the pod and the row;
+// it is O(everything) by design: a test oracle, not a hot path.
 
 import (
 	"fmt"
@@ -15,148 +16,270 @@ import (
 	"repro/internal/optical"
 )
 
-// CheckInvariants cross-checks every rack's derived state against
-// ground truth and returns the first violation found, or nil.
+// CheckInvariants cross-checks every rack's derived state and the pod
+// tier's cross-rack bookkeeping against ground truth and returns the
+// first violation found, or nil. An attachment owned by a tier above
+// the pod (a row's cross-pod spill) is a violation here: check the row.
 func (s *PodScheduler) CheckInvariants() error {
+	return checkTiers([]*crossTier{&s.crossTier}, [][]*Controller{s.racks})
+}
+
+// CheckInvariants is the row's checker: every pod's racks and
+// cross-rack bookkeeping, the row's cross-pod bookkeeping, and every
+// pod's aggregate summary against an exact recompute from its rack
+// roots.
+func (s *RowScheduler) CheckInvariants() error {
+	tiers := []*crossTier{&s.crossTier}
+	pods := make([][]*Controller, len(s.pods))
+	for p, ps := range s.pods {
+		tiers = append(tiers, &ps.crossTier)
+		pods[p] = ps.racks
+	}
+	if err := checkTiers(tiers, pods); err != nil {
+		return err
+	}
+	for p, ps := range s.pods {
+		if ps.agg != nil {
+			if err := ps.agg.check(p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkTiers checks the racks of pods (one list per pod) and the cross
+// bookkeeping of tiers, the only tiers allowed to own attachments
+// registered on those racks.
+func checkTiers(tiers []*crossTier, pods [][]*Controller) error {
+	owned := make(map[*crossTier]int)
+	for _, ct := range tiers {
+		owned[ct] = 0
+	}
 	liveSegs := make(map[*brick.Segment]*Attachment)
-	crossRegistered := 0
-	podRiders := make(map[*optical.Circuit]int)
-	podCircuits := make(map[*optical.Circuit]bool)
-	for ri, r := range s.racks {
-		if r.batch != nil && r.batch.active {
-			return fmt.Errorf("rack %d: invariants checked mid-batch", ri)
+	crossRiders := make(map[*optical.Circuit]int)
+	crossCircuits := make(map[*optical.Circuit]bool)
+	label := func(p, ri int) string {
+		if len(pods) == 1 {
+			return fmt.Sprintf("rack %d", ri)
 		}
-		if err := r.checkRack(ri); err != nil {
-			return err
-		}
-		if err := r.checkDatapath(ri); err != nil {
-			return err
-		}
-		rackRiders := make(map[*optical.Circuit]int)
-		rackCircuits := make(map[*optical.Circuit]bool)
-		hostSeen := make(map[*Attachment]bool)
-		for oid, list := range r.attachments {
-			owner := r.owners[oid]
-			for _, att := range list {
-				if att.Owner != owner {
-					return fmt.Errorf("rack %d: attachment of %q registered under %q", ri, att.Owner, owner)
-				}
-				if int(att.ownerID) != oid {
-					return fmt.Errorf("rack %d: attachment of %q carries owner id %d, registered at %d", ri, att.Owner, att.ownerID, oid)
-				}
-				if prev, dup := liveSegs[att.Segment]; dup {
-					return fmt.Errorf("rack %d: segment %v+%v owned by both %q and %q", ri, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
-				}
-				liveSegs[att.Segment] = att
-				if att.cross != nil {
-					if att.cross != s {
-						return fmt.Errorf("rack %d: attachment of %q tagged with a foreign pod scheduler", ri, att.Owner)
-					}
-					if att.CPURack != ri {
-						return fmt.Errorf("rack %d: cross attachment of %q registered off its compute rack %d", ri, att.Owner, att.CPURack)
-					}
-					crossRegistered++
-					if !s.cross.contains(att) {
-						return fmt.Errorf("rack %d: cross attachment of %q missing from the cross walk order", ri, att.Owner)
-					}
-					if att.Mode == ModePacket {
-						podRiders[att.Circuit]++
-					}
-					podCircuits[att.Circuit] = true
-					continue
-				}
-				if att.CPURack != att.MemRack {
-					return fmt.Errorf("rack %d: attachment of %q spans racks %d→%d without a pod tag", ri, att.Owner, att.CPURack, att.MemRack)
-				}
-				rackCircuits[att.Circuit] = true
-				if att.Mode == ModePacket {
-					rackRiders[att.Circuit]++
-					continue
-				}
-				found := false
-				for _, h := range r.circuitHosts[r.cpuPos(att.CPU)] {
-					if h == att {
-						if found {
-							return fmt.Errorf("rack %d: attachment of %q twice in circuitHosts", ri, att.Owner)
-						}
-						found = true
-					}
-				}
-				if !found {
-					return fmt.Errorf("rack %d: circuit attachment of %q missing from circuitHosts", ri, att.Owner)
-				}
-				hostSeen[att] = true
+		return fmt.Sprintf("pod %d rack %d", p, ri)
+	}
+	for p, racks := range pods {
+		for ri, r := range racks {
+			where := label(p, ri)
+			if r.batch != nil && r.batch.active {
+				return fmt.Errorf("%s: invariants checked mid-batch", where)
 			}
-		}
-		// circuitHosts carries no stale entries.
-		for ord, hosts := range r.circuitHosts {
-			for _, h := range hosts {
-				if !hostSeen[h] {
-					return fmt.Errorf("rack %d: orphaned circuitHosts entry for %q on %v", ri, h.Owner, r.computeOrder[ord])
-				}
+			if r.aggPending {
+				return fmt.Errorf("%s: pod summary fold still deferred", where)
 			}
-		}
-		// Rider counts match the packet attachments per circuit.
-		for circuit := range rackCircuits {
-			if circuit.Riders != rackRiders[circuit] {
-				return fmt.Errorf("rack %d: rider count %d on a circuit with %d live packet attachments", ri, circuit.Riders, rackRiders[circuit])
+			if err := r.checkRack(where); err != nil {
+				return err
+			}
+			if err := r.checkDatapath(where); err != nil {
+				return err
+			}
+			if err := r.checkAttachments(where, p, ri, owned, liveSegs, crossRiders, crossCircuits); err != nil {
+				return err
 			}
 		}
 	}
 
-	// Pod rider counts.
-	for circuit := range podCircuits {
-		if circuit.Riders != podRiders[circuit] {
-			return fmt.Errorf("pod: rider count %d on a cross circuit with %d live packet attachments", circuit.Riders, podRiders[circuit])
+	// Cross rider counts.
+	for circuit := range crossCircuits {
+		if circuit.Riders != crossRiders[circuit] {
+			return fmt.Errorf("rider count %d on a cross circuit with %d live packet attachments", circuit.Riders, crossRiders[circuit])
 		}
 	}
 
-	// The cross walk order: every element live, seq strictly increasing,
-	// bounded by attachSeq, and nothing registered is missing (checked
-	// above) or extra (checked here by count).
-	var lastSeq uint64
-	n := 0
-	for att := s.cross.head; att != nil; att = att.crossNext {
-		n++
-		if att.seq <= lastSeq {
-			return fmt.Errorf("pod: cross walk seq %d after %d — walk order corrupted", att.seq, lastSeq)
+	// Each tier's walk order: every element live, seq strictly
+	// increasing, bounded by attachSeq, and nothing registered is
+	// missing (checked per attachment) or extra (checked here by count).
+	for _, ct := range tiers {
+		name := tierNames[ct.lvl].tier
+		var lastSeq uint64
+		n := 0
+		for att := ct.cross.head; att != nil; att = att.crossNext {
+			n++
+			if att.seq <= lastSeq {
+				return fmt.Errorf("%s: cross walk seq %d after %d — walk order corrupted", name, att.seq, lastSeq)
+			}
+			lastSeq = att.seq
+			if att.seq > ct.attachSeq {
+				return fmt.Errorf("%s: cross walk seq %d exceeds attachSeq %d", name, att.seq, ct.attachSeq)
+			}
+			if _, ok := liveSegs[att.Segment]; !ok || att.cross != ct {
+				return fmt.Errorf("%s: cross walk entry for %q is not a registered attachment of the tier", name, att.Owner)
+			}
 		}
-		lastSeq = att.seq
-		if att.seq > s.attachSeq {
-			return fmt.Errorf("pod: cross walk seq %d exceeds attachSeq %d", att.seq, s.attachSeq)
+		if n != owned[ct] {
+			return fmt.Errorf("%s: %d cross walk entries but %d registered cross attachments", name, n, owned[ct])
 		}
-		if _, ok := liveSegs[att.Segment]; !ok {
-			return fmt.Errorf("pod: cross walk entry for %q is not a registered attachment", att.Owner)
+		if ct.cross.n != n {
+			return fmt.Errorf("%s: cross walk length %d but %d elements counted", name, ct.cross.n, n)
 		}
-	}
-	if n != crossRegistered {
-		return fmt.Errorf("pod: %d cross walk entries but %d registered cross attachments", n, crossRegistered)
-	}
-	if s.cross.n != n {
-		return fmt.Errorf("pod: cross walk length %d but %d elements counted", s.cross.n, n)
 	}
 
 	// Ground-truth segment scan: every carved segment belongs to exactly
 	// one live attachment, and every live attachment's segment is carved.
-	for ri, r := range s.racks {
-		for pos, m := range r.memories {
-			id := r.memoryOrder[pos]
-			for _, seg := range m.Segments() {
-				att, ok := liveSegs[seg]
-				if !ok {
-					return fmt.Errorf("rack %d: orphaned segment %v+%v owned by %q on %v", ri, seg.Offset, seg.Size, seg.Owner, id)
+	for p, racks := range pods {
+		for ri, r := range racks {
+			for pos, m := range r.memories {
+				id := r.memoryOrder[pos]
+				for _, seg := range m.Segments() {
+					att, ok := liveSegs[seg]
+					if !ok {
+						return fmt.Errorf("%s: orphaned segment %v+%v owned by %q on %v", label(p, ri), seg.Offset, seg.Size, seg.Owner, id)
+					}
+					if att.Segment.Brick != id {
+						return fmt.Errorf("%s: attachment of %q names brick %v but its segment lives on %v", label(p, ri), att.Owner, att.Segment.Brick, id)
+					}
+					delete(liveSegs, seg)
 				}
-				if att.Segment.Brick != id {
-					return fmt.Errorf("rack %d: attachment of %q names brick %v but its segment lives on %v", ri, att.Owner, att.Segment.Brick, id)
-				}
-				delete(liveSegs, seg)
 			}
 		}
 	}
-	if len(liveSegs) > 0 {
-		for _, att := range liveSegs {
-			return fmt.Errorf("attachment of %q holds a segment no memory brick carries", att.Owner)
+	for _, att := range liveSegs {
+		return fmt.Errorf("attachment of %q holds a segment no memory brick carries", att.Owner)
+	}
+	return nil
+}
+
+// checkAttachments checks the attachments registered on rack ri of pod
+// p: owner interning, segment uniqueness, tier tags, walk-order
+// membership, and that every circuit-mode attachment sits exactly once
+// in its host table — circuitHosts rack-locally, crossHosts at its
+// owning tier's level — with no table holding anything else. It counts
+// each owning tier's attachments into owned and the cross circuits'
+// packet riders into crossRiders.
+func (c *Controller) checkAttachments(where string, p, ri int, owned map[*crossTier]int, liveSegs map[*brick.Segment]*Attachment, crossRiders map[*optical.Circuit]int, crossCircuits map[*optical.Circuit]bool) error {
+	rackRiders := make(map[*optical.Circuit]int)
+	rackCircuits := make(map[*optical.Circuit]bool)
+	hostSeen := make(map[*Attachment]bool)
+	onceIn := func(hosts []*Attachment, att *Attachment, table string) error {
+		n := 0
+		for _, h := range hosts {
+			if h == att {
+				n++
+			}
 		}
+		if n != 1 {
+			return fmt.Errorf("%s: circuit attachment of %q appears %d times in %s", where, att.Owner, n, table)
+		}
+		hostSeen[att] = true
+		return nil
+	}
+	for oid, list := range c.attachments {
+		owner := c.owners[oid]
+		for _, att := range list {
+			if att.Owner != owner {
+				return fmt.Errorf("%s: attachment of %q registered under %q", where, att.Owner, owner)
+			}
+			if int(att.ownerID) != oid {
+				return fmt.Errorf("%s: attachment of %q carries owner id %d, registered at %d", where, att.Owner, att.ownerID, oid)
+			}
+			if prev, dup := liveSegs[att.Segment]; dup {
+				return fmt.Errorf("%s: segment %v+%v owned by both %q and %q", where, att.Segment.Offset, att.Segment.Size, prev.Owner, att.Owner)
+			}
+			liveSegs[att.Segment] = att
+			if ct := att.cross; ct != nil {
+				if _, ok := owned[ct]; !ok {
+					return fmt.Errorf("%s: attachment of %q tagged with a foreign tier", where, att.Owner)
+				}
+				if att.CPURack != ri || (ct.lvl == 1 && att.CPUPod != p) {
+					return fmt.Errorf("%s: cross attachment of %q registered off its compute rack", where, att.Owner)
+				}
+				owned[ct]++
+				if !ct.cross.contains(att) {
+					return fmt.Errorf("%s: cross attachment of %q missing from the cross walk order", where, att.Owner)
+				}
+				crossCircuits[att.Circuit] = true
+				if att.Mode == ModePacket {
+					crossRiders[att.Circuit]++
+					continue
+				}
+				if err := onceIn(c.crossHosts[ct.lvl][c.cpuPos(att.CPU)], att, "crossHosts"); err != nil {
+					return err
+				}
+				continue
+			}
+			if att.CPURack != att.MemRack || att.CPUPod != att.MemPod {
+				return fmt.Errorf("%s: attachment of %q spans racks %d→%d without a tier tag", where, att.Owner, att.CPURack, att.MemRack)
+			}
+			rackCircuits[att.Circuit] = true
+			if att.Mode == ModePacket {
+				rackRiders[att.Circuit]++
+				continue
+			}
+			if err := onceIn(c.circuitHosts[c.cpuPos(att.CPU)], att, "circuitHosts"); err != nil {
+				return err
+			}
+		}
+	}
+	// No host table carries stale entries.
+	for ord, hosts := range c.circuitHosts {
+		for _, h := range hosts {
+			if !hostSeen[h] || h.cross != nil {
+				return fmt.Errorf("%s: orphaned circuitHosts entry for %q on %v", where, h.Owner, c.computeOrder[ord])
+			}
+		}
+	}
+	for lvl, tab := range c.crossHosts {
+		for ord, hosts := range tab {
+			for _, h := range hosts {
+				if !hostSeen[h] || h.cross == nil || h.cross.lvl != lvl {
+					return fmt.Errorf("%s: orphaned crossHosts entry for %q on %v", where, h.Owner, c.computeOrder[ord])
+				}
+			}
+		}
+	}
+	// Rider counts match the packet attachments per rack circuit.
+	for circuit := range rackCircuits {
+		if circuit.Riders != rackRiders[circuit] {
+			return fmt.Errorf("%s: rider count %d on a circuit with %d live packet attachments", where, circuit.Riders, rackRiders[circuit])
+		}
+	}
+	return nil
+}
+
+// check compares a pod summary against an exact recompute from its
+// rack roots: the sums, the per-rack contributions, the censuses, and
+// the max gap (exact when clean, an upper bound while dirty).
+func (g *podAgg) check(p int) error {
+	var cores, mem int64
+	var gap brick.Bytes
+	var cc, mc [nStates]int32
+	for slot, r := range g.racks {
+		rc, rm := r.cpuIdx.rankSum(), r.memIdx.rankSum()
+		rg := brick.Bytes(r.memIdx.maxFitAAny())
+		if g.rackCores[slot] != rc || g.rackMem[slot] != rm || g.rackGap[slot] != rg {
+			return fmt.Errorf("pod %d: rack %d summary slot diverged from its index roots", p, slot)
+		}
+		cores, mem = cores+rc, mem+rm
+		if rg > gap {
+			gap = rg
+		}
+		c, m := r.cpuIdx.stateCounts(), r.memIdx.stateCounts()
+		if g.rackCPUCensus[slot] != c || g.rackMemCensus[slot] != m {
+			return fmt.Errorf("pod %d: rack %d census slot diverged from its index roots", p, slot)
+		}
+		for st := 0; st < nStates; st++ {
+			cc[st] += c[st]
+			mc[st] += m[st]
+		}
+	}
+	if g.freeCores != cores {
+		return fmt.Errorf("pod %d: summary says %d free cores, recompute says %d", p, g.freeCores, cores)
+	}
+	if g.freeMem != mem {
+		return fmt.Errorf("pod %d: summary says %d free bytes, recompute says %d", p, g.freeMem, mem)
+	}
+	if g.maxGap < gap || (!g.gapDirty && g.maxGap != gap) {
+		return fmt.Errorf("pod %d: summary says %v max gap (dirty=%v), recompute says %v", p, g.maxGap, g.gapDirty, gap)
+	}
+	if g.cpuCensus != cc || g.memCensus != mc {
+		return fmt.Errorf("pod %d: summary census diverged from recompute", p)
 	}
 	return nil
 }
@@ -166,14 +289,14 @@ func (s *PodScheduler) CheckInvariants() error {
 // compute brick's agent, and its circuit — its own, or the host circuit
 // a packet rider shares — is the live circuit on its CPU port in the
 // rack fabric, where circuits of every tier register their endpoints.
-func (c *Controller) checkDatapath(ri int) error {
+func (c *Controller) checkDatapath(where string) error {
 	for _, list := range c.attachments {
 		for _, att := range list {
 			if _, err := c.compute(att.CPU).Agent.Glue.Translate(att.Window.Base); err != nil {
-				return fmt.Errorf("rack %d: window of %q does not translate: %v", ri, att.Owner, err)
+				return fmt.Errorf("%s: window of %q does not translate: %v", where, att.Owner, err)
 			}
 			if live, ok := c.fabric.CircuitAt(att.CPUPort); !ok || live != att.Circuit {
-				return fmt.Errorf("rack %d: circuit of %q is not live on its CPU port %v", ri, att.Owner, att.CPUPort)
+				return fmt.Errorf("%s: circuit of %q is not live on its CPU port %v", where, att.Owner, att.CPUPort)
 			}
 		}
 	}
@@ -182,43 +305,43 @@ func (c *Controller) checkDatapath(ri int) error {
 
 // checkRack cross-checks one rack's index roots, gap caches and power
 // states against ground-truth scans.
-func (c *Controller) checkRack(ri int) error {
+func (c *Controller) checkRack(where string) error {
 	coreScan := 0
 	for pos, node := range c.computes {
 		id := c.computeOrder[pos]
 		b := node.Brick
 		coreScan += b.FreeCores()
 		if !b.IsIdle() && b.State() != brick.PowerActive {
-			return fmt.Errorf("rack %d: compute %v has allocations but state %v", ri, id, b.State())
+			return fmt.Errorf("%s: compute %v has allocations but state %v", where, id, b.State())
 		}
 		if b.State() == brick.PowerOff && !b.IsIdle() {
-			return fmt.Errorf("rack %d: compute %v powered off with allocations", ri, id)
+			return fmt.Errorf("%s: compute %v powered off with allocations", where, id)
 		}
 	}
 	if got := c.FreeCores(); got != coreScan {
-		return fmt.Errorf("rack %d: index root says %d free cores, scan says %d", ri, got, coreScan)
+		return fmt.Errorf("%s: index root says %d free cores, scan says %d", where, got, coreScan)
 	}
 	var memScan, maxGapScan brick.Bytes
 	for pos, m := range c.memories {
 		id := c.memoryOrder[pos]
 		memScan += m.Free()
 		if g := m.LargestGapScan(); g != m.LargestGap() {
-			return fmt.Errorf("rack %d: memory %v gap cache %v diverged from scan %v", ri, id, m.LargestGap(), g)
+			return fmt.Errorf("%s: memory %v gap cache %v diverged from scan %v", where, id, m.LargestGap(), g)
 		} else if g > maxGapScan {
 			maxGapScan = g
 		}
 		if !m.IsIdle() && m.State() != brick.PowerActive {
-			return fmt.Errorf("rack %d: memory %v has segments but state %v", ri, id, m.State())
+			return fmt.Errorf("%s: memory %v has segments but state %v", where, id, m.State())
 		}
 		if m.State() == brick.PowerOff && !m.IsIdle() {
-			return fmt.Errorf("rack %d: memory %v powered off with segments", ri, id)
+			return fmt.Errorf("%s: memory %v powered off with segments", where, id)
 		}
 	}
 	if got := c.FreeMemory(); got != memScan {
-		return fmt.Errorf("rack %d: index root says %v free memory, scan says %v", ri, got, memScan)
+		return fmt.Errorf("%s: index root says %v free memory, scan says %v", where, got, memScan)
 	}
 	if got := c.MaxMemoryGap(); got != maxGapScan {
-		return fmt.Errorf("rack %d: index root says %v max gap, scan says %v", ri, got, maxGapScan)
+		return fmt.Errorf("%s: index root says %v max gap, scan says %v", where, got, maxGapScan)
 	}
 	return nil
 }

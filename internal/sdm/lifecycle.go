@@ -7,7 +7,7 @@ package sdm
 // steps committed atomically. The engine owns circuit setup and
 // teardown across the optical tiers (the rack fabric and the pod and
 // row switches' uplinks), the TGL window moves and rider safety;
-// reattach.go, rebalance.go, pod.go and row.go are thin callers that
+// reattach.go, rebalance.go, pod.go and tier.go are thin callers that
 // select resources, build a plan and commit it. Rack-local attach and
 // every detach run the inline bodies instead (attachLocal in batch.go,
 // detachSite.detach in teardown.go), which allocate nothing per call.
@@ -187,32 +187,6 @@ func (c *Controller) rackTier() connector {
 	return c.tierConn
 }
 
-// tier returns the connector joining compute rack ra to memory rack
-// rb: the rack's own fabric when they coincide, the pod switch (one
-// uplink per endpoint rack) otherwise. Cross-rack connectors are cached
-// per rack pair — circuit setup runs on every spill, so the closures
-// are built once, not per plan.
-func (s *PodScheduler) tier(ra, rb int) connector {
-	if ra == rb {
-		return s.racks[ra].rackTier()
-	}
-	if s.tierConns == nil {
-		s.tierConns = make(map[[2]int]connector)
-	}
-	key := [2]int{ra, rb}
-	if t, ok := s.tierConns[key]; ok {
-		return t
-	}
-	t := connector{
-		connect: func(a, b topo.PortID) (*optical.Circuit, sim.Duration, error) {
-			return s.fabric.ConnectCross(ra, a, rb, b)
-		},
-		disconnect: s.fabric.DisconnectCross,
-	}
-	s.tierConns[key] = t
-	return t
-}
-
 // CanRepoint reports whether an attachment's circuit can be moved
 // (compute end re-pointed or memory end re-homed). Packet-mode
 // attachments have no circuit of their own, and a circuit carrying
@@ -270,26 +244,29 @@ func (c *Controller) unregister(att *Attachment) {
 }
 
 // memPick is the memory-end selection a tier's placement policy makes
-// for an attach plan.
+// for an attach plan: the brick, its rack, the rack's index in its pod
+// and the tier child holding it.
 type memPick struct {
 	rack    *Controller
 	rackIdx int
+	kid     int
 	brick   topo.BrickID
 }
 
-// planAttach builds the cross-tier attach plan the pod and row spill
-// paths share: CPU-side port, memory selection and power-up, segment
-// carve, memory-side port, circuit, TGL window, registration. pick
-// applies the tier's placement policy (returning exhausted=true when
-// the failure should cascade into the packet fallback); tierFor
-// supplies the circuit fabric for the chosen memory rack; register
-// installs the finished attachment into the owning indexes and cannot
-// fail. (Rack-local attaches run the inline attachLocal body.)
+// planAttach builds the cross-tier attach plan of the tier body's
+// spill (attachCross), at the pod and row tiers alike: CPU-side port,
+// memory selection and power-up, segment carve, memory-side port,
+// circuit, TGL window, registration. pick applies the tier's placement
+// policy (returning exhausted=true when the failure should cascade into
+// the packet fallback); tierFor supplies the circuit fabric for the
+// chosen memory end; register installs the finished attachment into
+// the owning indexes and cannot fail. (Rack-local attaches run the
+// inline attachLocal body.)
 func planAttach(cfg Config, owner string, size brick.Bytes,
 	rackA *Controller, cpu topo.BrickID,
 	pick func() (memPick, bool, error),
-	tierFor func(memRack int) connector,
-	register func(att *Attachment, memRack int)) *AttachmentOp {
+	tierFor func(memPick) connector,
+	register func(att *Attachment, mem memPick)) *AttachmentOp {
 
 	op := newOp(OpAttach)
 	node := rackA.compute(cpu)
@@ -364,7 +341,7 @@ func planAttach(cfg Config, owner string, size brick.Bytes,
 	}, func() error { m.Ports.Release(memPort); return nil })
 	// Circuit setup.
 	op.step(func() (sim.Duration, error) {
-		c, reconfig, err := tierFor(chosen.rackIdx).connect(cpuPort, memPort)
+		c, reconfig, err := tierFor(chosen).connect(cpuPort, memPort)
 		if err != nil {
 			op.fallback = true
 			return 0, err
@@ -372,7 +349,7 @@ func planAttach(cfg Config, owner string, size brick.Bytes,
 		circuit = c
 		return reconfig, nil
 	}, func() error {
-		_, err := tierFor(chosen.rackIdx).disconnect(circuit)
+		_, err := tierFor(chosen).disconnect(circuit)
 		return err
 	})
 	// TGL window push via the SDM Agent.
@@ -403,7 +380,7 @@ func planAttach(cfg Config, owner string, size brick.Bytes,
 		att.Window = window
 		att.Mode = ModeCircuit
 		op.att = att
-		register(op.att, chosen.rackIdx)
+		register(op.att, chosen)
 		return 0, nil
 	}, nil)
 	return op

@@ -261,6 +261,11 @@ func TestRowBatchWorkersMatchSerial(t *testing.T) {
 				if got, want := rowFingerprint(t, par, true), rowFingerprint(t, ref, true); got != want {
 					t.Fatalf("final row fingerprints diverge:\nparallel:\n%s\nreference:\n%s", got, want)
 				}
+				for _, s := range []*RowScheduler{ref, par} {
+					if err := s.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				rr, rf, rs := ref.Stats()
 				pr, pf, ps := par.Stats()
 				if rr != pr || rf != pf || rs != ps {

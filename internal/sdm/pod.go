@@ -12,8 +12,9 @@ import (
 
 // PodScheduler shards SDM orchestration across a pod of racks: one
 // autonomous per-rack Controller each owning its rack's bricks and
-// circuit fabric, plus this thin pod tier that routes requests. The
-// placement contract extends the rack policies to rack choice:
+// circuit fabric, plus the tier body (tier.go) routing requests over
+// them. The placement contract extends the rack policies to rack
+// choice:
 //
 //   - Compute and memory go rack-local first. Power-aware and first-fit
 //     pack racks in index order (so trailing racks can stay dark);
@@ -29,50 +30,38 @@ import (
 //
 // Cross-rack attachments are registered in the compute rack's
 // controller (so Attachments, scale-down and rider queries stay
-// uniform) and tagged with the scheduler, which owns their teardown.
+// uniform) and tagged with the pod's crossTier, which owns their
+// teardown. Under a row the pod is itself a child: it answers the row
+// the same O(1) questions a rack answers it, from its own aggregate
+// summary. Pod-only are the cross-rack moves: Repoint here, Rehome and
+// the rebalancer in rebalance.go, Consolidate in consolidate.go.
 type PodScheduler struct {
-	cfg    Config
+	tier[*Controller]
 	pod    *topo.Pod
 	fabric *optical.PodFabric
-	racks  []*Controller
+	// racks is the tier's kids under their pod-tier name.
+	racks []*Controller
 
-	// crossHosts indexes cross-rack circuit attachments by compute brick
-	// — [rack][compute ordinal] — for the pod-tier packet fallback.
-	// (Packet-rider counts live on the circuits: optical.Circuit.Riders.)
-	crossHosts [][][]*Attachment
-
-	// crossTier's walk order lists every live cross-rack attachment in
-	// spill order — the oldest-first walk order of the rebalancer,
-	// threaded intrusively through the attachments so
-	// Repoint/Rebalance/detach remove in O(1) with no pointer-keyed map.
-	crossTier
+	// agg is the pod's cached aggregate summary (agg.go), installed when
+	// the pod serves a row in indexed-scan mode; nil otherwise, when the
+	// child answers sum the rack roots on demand.
+	agg *podAgg
 
 	// tierConns caches the cross-rack connectors per rack pair (see
-	// tier in lifecycle.go).
+	// link).
 	tierConns map[[2]int]connector
 
 	// rebalScratch is the rebalancer's reused sweep snapshot buffer, so
 	// periodic sweeps stop allocating per call.
 	rebalScratch []*Attachment
 
-	// evict holds EvictBatch's reused partition buffers (see
-	// podteardown.go). EvictBatch is serial at the pod tier, so one set
-	// suffices and a steady churn of evictions stops allocating.
-	evict evictScratch
-	// admit holds the pod's reused shard partition buffers for
-	// row-driven batches and its own AdmitBatch (see admitShardPlan);
-	// the row's flat commit wave reads the packed sub-batches out of it.
-	admit admitScratch
-	// fo is the reusable fan-out scratch behind forEachRack; a pod's
-	// phases run sequentially, so one instance suffices (see fanout.go).
-	fo fanout
-	// admitWave and evictWave are the batch engines' commit-wave
-	// closures, built once at construction: they read each batch's
-	// shard ranges through the reused scratch, so a serial batch
-	// creates no closure per call (a fan-out fn escapes into the
-	// fanout scratch and would otherwise heap-allocate every batch).
-	admitWave func(r int)
-	evictWave func(r int)
+	// admitWave and evictWave are the batch engines' rack waves, built
+	// once at construction: they read each batch's shard ranges through
+	// the reused scratch, so a serial batch creates no closure per call
+	// (a fan-out fn escapes into the fanout scratch and would otherwise
+	// heap-allocate every batch).
+	admitWave func(i int)
+	evictWave func(i int)
 
 	promoted uint64
 }
@@ -89,29 +78,27 @@ func NewPodScheduler(pod *topo.Pod, fabric *optical.PodFabric, bc BrickConfigs, 
 	if pod.Racks() != fabric.Racks() {
 		return nil, fmt.Errorf("sdm: pod has %d racks but the fabric has %d", pod.Racks(), fabric.Racks())
 	}
-	s := &PodScheduler{
-		cfg:    cfg,
-		pod:    pod,
-		fabric: fabric,
-	}
+	s := &PodScheduler{pod: pod, fabric: fabric}
 	for i := 0; i < pod.Racks(); i++ {
 		c, err := NewController(pod.Rack(i), fabric.Rack(i), bc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sdm: rack %d: %w", i, err)
 		}
+		c.crossHosts[0] = make([][]*Attachment, len(c.computes))
 		s.racks = append(s.racks, c)
 	}
-	s.crossHosts = make([][][]*Attachment, len(s.racks))
-	for i, r := range s.racks {
-		s.crossHosts[i] = make([][]*Attachment, len(r.computes))
-	}
-	s.admitWave = func(r int) {
+	s.init(cfg, 0, s.racks, fabric, s)
+	s.admitWave = func(i int) {
 		sc := &s.admit
-		s.racks[r].placeBatch(sc.subReq[sc.offsets[r]:sc.offsets[r+1]], sc.subOut[sc.offsets[r]:sc.offsets[r+1]], true)
+		r := sc.active[i]
+		lo, hi := sc.span(r)
+		s.racks[r].placeBatch(sc.subReq[lo:hi], sc.subOut[lo:hi], true)
 	}
-	s.evictWave = func(r int) {
+	s.evictWave = func(i int) {
 		sc := &s.evict
-		s.racks[r].ReleaseBatch(sc.subReq[sc.offsets[r]:sc.offsets[r+1]], sc.subOut[sc.offsets[r]:sc.offsets[r+1]])
+		r := sc.active[i]
+		lo, hi := sc.span(r)
+		s.racks[r].releaseShard(sc.subReq[lo:hi], sc.subOut[lo:hi])
 	}
 	return s, nil
 }
@@ -131,347 +118,152 @@ func (s *PodScheduler) Rack(i int) *Controller {
 // Fabric returns the pod fabric.
 func (s *PodScheduler) Fabric() *optical.PodFabric { return s.fabric }
 
-// Stats returns the pod tier's cumulative request/failure counters and
-// how many attachments spilled cross-rack (circuit or packet).
-func (s *PodScheduler) Stats() (requests, failures, spills uint64) {
-	return s.requests, s.failures, s.spills
-}
-
 // PickComputeRack applies the placement policy to rack choice for a
 // compute reservation, without reserving anything.
 func (s *PodScheduler) PickComputeRack(vcpus int, localMem brick.Bytes) (int, bool) {
-	return s.pickComputeRackExcept(vcpus, localMem, -1)
+	return s.pickCompute(vcpus, localMem, -1)
 }
 
 // PickComputeRackExcept is PickComputeRack with one rack excluded —
 // used by cross-rack VM migration.
 func (s *PodScheduler) PickComputeRackExcept(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
-	return s.pickComputeRackExcept(vcpus, localMem, exclude)
-}
-
-func (s *PodScheduler) pickComputeRackExcept(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
-	if s.cfg.Scan == ScanLinear {
-		return s.pickComputeRackLinear(vcpus, localMem, exclude)
-	}
-	// Indexed rack choice is O(racks) arithmetic: each rack answers the
-	// feasibility question from its index root (CanPlaceCompute, O(1))
-	// and the free-cores rank sum (FreeCores, O(1)); only the rack that
-	// could actually win runs an O(log n) brick pick to confirm.
-	if s.cfg.Policy == PolicySpread {
-		best, bestFree, found := -1, -1, false
-		for i, r := range s.racks {
-			if i == exclude {
-				continue
-			}
-			free := r.FreeCores()
-			if free <= bestFree || !r.CanPlaceCompute(vcpus, localMem) {
-				continue
-			}
-			if _, ok := r.pickCompute(vcpus, localMem); ok {
-				best, bestFree, found = i, free, true
-			}
-		}
-		return best, found
-	}
-	// Power-aware and first-fit pack racks in index order.
-	for i, r := range s.racks {
-		if i == exclude {
-			continue
-		}
-		if !r.CanPlaceCompute(vcpus, localMem) {
-			continue
-		}
-		if _, ok := r.pickCompute(vcpus, localMem); ok {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// pickComputeRackLinear is the pre-index nested scan: every rack runs a
-// full brick pick per probe.
-func (s *PodScheduler) pickComputeRackLinear(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
-	if s.cfg.Policy == PolicySpread {
-		best, bestFree, found := -1, -1, false
-		for i, r := range s.racks {
-			if i == exclude {
-				continue
-			}
-			if _, ok := r.pickCompute(vcpus, localMem); ok && r.FreeCores() > bestFree {
-				best, bestFree, found = i, r.FreeCores(), true
-			}
-		}
-		return best, found
-	}
-	for i, r := range s.racks {
-		if i == exclude {
-			continue
-		}
-		if _, ok := r.pickCompute(vcpus, localMem); ok {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// pickMemoryRack applies the placement policy to the rack choice of a
-// cross-rack spill, never returning the VM's home rack.
-func (s *PodScheduler) pickMemoryRack(size brick.Bytes, home int) (int, bool) {
-	if s.cfg.Scan == ScanLinear {
-		return s.pickMemoryRackLinear(size, home)
-	}
-	// O(racks) arithmetic, same structure as compute rack choice: O(1)
-	// per-rack feasibility (largest-gap/port maxima at the index root)
-	// and free-byte rank sums; one O(log n) confirming pick.
-	if s.cfg.Policy == PolicySpread {
-		best, found := -1, false
-		var bestFree brick.Bytes
-		for i, r := range s.racks {
-			if i == home {
-				continue
-			}
-			free := r.FreeMemory()
-			if (found && free <= bestFree) || !r.CanPlaceMemory(size) {
-				continue
-			}
-			if _, ok := r.pickMemory(size); ok {
-				best, bestFree, found = i, free, true
-			}
-		}
-		return best, found
-	}
-	for i, r := range s.racks {
-		if i == home {
-			continue
-		}
-		if !r.CanPlaceMemory(size) {
-			continue
-		}
-		if _, ok := r.pickMemory(size); ok {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// pickMemoryRackLinear is the pre-index nested scan over racks and
-// bricks.
-func (s *PodScheduler) pickMemoryRackLinear(size brick.Bytes, home int) (int, bool) {
-	if s.cfg.Policy == PolicySpread {
-		best, found := -1, false
-		var bestFree brick.Bytes
-		for i, r := range s.racks {
-			if i == home {
-				continue
-			}
-			if _, ok := r.pickMemory(size); ok && (!found || r.FreeMemory() > bestFree) {
-				best, bestFree, found = i, r.FreeMemory(), true
-			}
-		}
-		return best, found
-	}
-	for i, r := range s.racks {
-		if i == home {
-			continue
-		}
-		if _, ok := r.pickMemory(size); ok {
-			return i, true
-		}
-	}
-	return -1, false
+	return s.pickCompute(vcpus, localMem, exclude)
 }
 
 // ReserveCompute places a compute reservation pod-wide: the policy
 // picks a rack, the rack's controller picks the brick.
 func (s *PodScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.PodBrickID, sim.Duration, error) {
-	s.requests++
-	rack, ok := s.PickComputeRack(vcpus, localMem)
-	if !ok {
-		s.failures++
-		return topo.PodBrickID{}, 0, fmt.Errorf("sdm: no rack in the %d-rack pod with %d free cores and %v local memory", len(s.racks), vcpus, localMem)
-	}
-	id, lat, err := s.racks[rack].ReserveCompute(owner, vcpus, localMem)
-	if err != nil {
-		s.failures++
-		return topo.PodBrickID{}, 0, err
-	}
-	return topo.PodBrickID{Rack: rack, Brick: id}, lat, nil
+	id, lat, err := s.reserve(owner, vcpus, localMem)
+	return topo.PodBrickID{Rack: id.Rack, Brick: id.Brick}, lat, err
 }
 
 // ReleaseCompute returns cores and local memory to a brick.
 func (s *PodScheduler) ReleaseCompute(id topo.PodBrickID, vcpus int, localMem brick.Bytes) error {
-	if id.Rack < 0 || id.Rack >= len(s.racks) {
-		return fmt.Errorf("sdm: no rack %d in the pod", id.Rack)
-	}
-	return s.racks[id.Rack].ReleaseCompute(id.Brick, vcpus, localMem)
+	return s.releaseAt(topo.RowBrickID{Rack: id.Rack, Brick: id.Brick}, vcpus, localMem)
 }
 
 // AttachRemoteMemory realizes one memory attachment pod-wide:
 // rack-local first (with the rack's own circuit-then-packet cascade),
 // then the cross-rack spill, then the pod-tier packet fallback.
 func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	return s.attach(owner, topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
+}
+
+// The pod's side of the child contract, as its row sees it: O(1) reads
+// of its aggregate summary when installed, rack-root sums otherwise.
+
+func (s *PodScheduler) freeCores() int64 {
+	if s.agg != nil {
+		return s.agg.FreeCores()
+	}
+	var n int64
+	for _, r := range s.racks {
+		n += int64(r.FreeCores())
+	}
+	return n
+}
+
+func (s *PodScheduler) freeMemory() brick.Bytes {
+	if s.agg != nil {
+		return s.agg.FreeMemory()
+	}
+	var n brick.Bytes
+	for _, r := range s.racks {
+		n += r.FreeMemory()
+	}
+	return n
+}
+
+func (s *PodScheduler) maxGap() brick.Bytes {
+	if s.agg != nil {
+		return s.agg.MaxGap()
+	}
+	var max brick.Bytes
+	for _, r := range s.racks {
+		if g := r.MaxMemoryGap(); g > max {
+			max = g
+		}
+	}
+	return max
+}
+
+// canPlaceCompute screens on the free-core sum: no brick can offer more
+// cores than the pod holds in total. canPlaceMemory's max gap is exact.
+func (s *PodScheduler) canPlaceCompute(vcpus int, _ brick.Bytes) bool {
+	return s.freeCores() >= int64(vcpus)
+}
+func (s *PodScheduler) canPlaceMemory(size brick.Bytes) bool { return s.maxGap() >= size }
+func (s *PodScheduler) fitsCompute(vcpus int, localMem brick.Bytes) bool {
+	_, ok := s.pickCompute(vcpus, localMem, -1)
+	return ok
+}
+func (s *PodScheduler) fitsMemory(size brick.Bytes) bool {
+	_, ok := s.pickMemory(size, -1)
+	return ok
+}
+func (s *PodScheduler) pickMem(size brick.Bytes, _ int) (memPick, bool) {
+	r, ok := s.pickMemory(size, -1)
+	if !ok {
+		return memPick{}, false
+	}
+	return s.racks[r].pickMem(size, r)
+}
+func (s *PodScheduler) rackAt(i int) *Controller { return s.racks[i] }
+func (s *PodScheduler) hasRack(i int) bool       { return i >= 0 && i < len(s.racks) }
+func (s *PodScheduler) reserveIn(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+	return s.reserve(owner, vcpus, localMem)
+}
+func (s *PodScheduler) releaseIn(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
+	return s.releaseAt(id, vcpus, localMem)
+}
+func (s *PodScheduler) attachIn(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	return s.attach(owner, cpu, size)
+}
+func (s *PodScheduler) doom(cpu topo.RowBrickID) {
 	s.requests++
-	if cpu.Rack < 0 || cpu.Rack >= len(s.racks) {
-		s.failures++
-		return nil, 0, fmt.Errorf("sdm: no rack %d in the pod", cpu.Rack)
-	}
-	rackA := s.racks[cpu.Rack]
-	var att *Attachment
-	var lat sim.Duration
-	var localErr error
-	if s.cfg.Scan != ScanLinear && rackA.MaxMemoryGap() < size {
-		// No rack-local brick has a contiguous gap for the request, so
-		// neither the circuit path nor the packet fallback (which also
-		// needs a local gap) can succeed: skip the doomed rack-local
-		// plan. Counters mirror the failed attempt; the matching error
-		// text is materialized only if the spill fails too, keeping the
-		// hot spill path allocation-free.
-		rackA.requests++
-		rackA.failures++
-	} else {
-		att, lat, localErr = rackA.AttachRemoteMemory(owner, cpu.Brick, size)
-		if localErr == nil {
-			att.CPURack, att.MemRack = cpu.Rack, cpu.Rack
-			return att, lat, nil
-		}
-	}
-	att, lat, err := s.attachCross(owner, cpu, size)
-	if err != nil {
-		if localErr == nil {
-			localErr = fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size)
-		}
-		s.failures++
-		return nil, 0, fmt.Errorf("sdm: pod attach for %q failed rack-locally (%v) and cross-rack: %w", owner, localErr, err)
-	}
-	s.spills++
-	return att, lat, nil
+	s.failures++
+	s.racks[cpu.Rack].doom(cpu)
 }
 
-// attachCross provisions a cross-rack attachment: a segment on another
-// rack's dMEMBRICK, a circuit through the pod switch, and the TGL
-// window on the home rack's compute brick — one OpAttach through the
-// lifecycle engine, so every completed step rolls back on failure.
-// Exhaustion of circuit resources cascades into the pod-tier packet
-// fallback.
-func (s *PodScheduler) attachCross(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	rackA := s.racks[cpu.Rack]
-	op := planAttach(s.cfg, owner, size, rackA, cpu.Brick,
-		func() (memPick, bool, error) {
-			memRack, ok := s.pickMemoryRack(size, cpu.Rack)
-			if !ok {
-				return memPick{}, true, fmt.Errorf("sdm: no rack in the pod with %v contiguous free and a spare port", size)
-			}
-			memID, ok := s.racks[memRack].pickMemory(size)
-			if !ok {
-				return memPick{}, false, fmt.Errorf("sdm: rack %d memory vanished mid-selection", memRack)
-			}
-			return memPick{rack: s.racks[memRack], rackIdx: memRack, brick: memID}, false, nil
+// crossLink is the pod switch between two racks (see link).
+func (s *PodScheduler) crossLink(cpu, mem topo.RowBrickID) connector {
+	return s.link(cpu.Rack, mem.Rack)
+}
+
+// link returns the connector joining compute rack ra to memory rack
+// rb: the rack's own fabric when they coincide, the pod switch (one
+// uplink per endpoint rack) otherwise. Cross-rack connectors are cached
+// per rack pair — circuit setup runs on every spill, so the closures
+// are built once, not per plan.
+func (s *PodScheduler) link(ra, rb int) connector {
+	if ra == rb {
+		return s.racks[ra].rackTier()
+	}
+	if s.tierConns == nil {
+		s.tierConns = make(map[[2]int]connector)
+	}
+	key := [2]int{ra, rb}
+	if t, ok := s.tierConns[key]; ok {
+		return t
+	}
+	t := connector{
+		connect: func(a, b topo.PortID) (*optical.Circuit, sim.Duration, error) {
+			return s.fabric.ConnectCross(ra, a, rb, b)
 		},
-		func(memRack int) connector { return s.tier(cpu.Rack, memRack) },
-		func(att *Attachment, memRack int) {
-			att.CPURack, att.MemRack = cpu.Rack, memRack
-			att.cross = s
-			rackA.register(att)
-			ord := rackA.cpuPos(cpu.Brick)
-			s.crossHosts[cpu.Rack][ord] = append(s.crossHosts[cpu.Rack][ord], att)
-			s.addCrossOrder(att)
-		})
-	lat, err := op.Commit()
-	if err != nil {
-		if op.fallback {
-			if att, fl, ferr := s.attachPacketCross(owner, cpu, size); ferr == nil {
-				return att, lat + fl, nil
-			}
-		}
-		return nil, 0, err
+		disconnect: s.fabric.DisconnectCross,
 	}
-	return op.att, lat, nil
+	s.tierConns[key] = t
+	return t
 }
 
-// attachPacketCross preserves the packet fallback across the pod tier:
-// the new attachment rides an existing cross-rack circuit from the same
-// compute brick, with the on-brick packet switches steering its
-// transactions — two lookup-table pushes instead of a pod-switch
-// reconfiguration.
-func (s *PodScheduler) attachPacketCross(owner string, cpu topo.PodBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	if !s.cfg.PacketFallback {
-		return nil, 0, fmt.Errorf("sdm: packet fallback disabled")
-	}
-	rackA := s.racks[cpu.Rack]
-	node := rackA.compute(cpu.Brick)
-	var host *Attachment
-	for _, a := range s.crossHosts[cpu.Rack][rackA.cpuPos(cpu.Brick)] {
-		m := s.racks[a.MemRack].memory(a.Segment.Brick)
-		if m.LargestGap() >= size {
-			host = a
-			break
-		}
-	}
-	if host == nil {
-		return nil, 0, fmt.Errorf("sdm: pod packet fallback: no live cross-rack circuit from %v to a memory brick with %v contiguous free", cpu, size)
-	}
-	m := s.racks[host.MemRack].memory(host.Segment.Brick)
-	seg, err := m.Carve(size, owner)
-	if err != nil {
-		return nil, 0, err
-	}
-	window := tgl.Entry{
-		Base:       node.nextWindow,
-		Size:       uint64(size),
-		Dest:       host.Segment.Brick,
-		DestOffset: uint64(seg.Offset),
-		Port:       host.CPUPort, // shares the host circuit's port
-	}
-	if err := node.Agent.Glue.Attach(window); err != nil {
-		m.Release(seg)
-		return nil, 0, err
-	}
-	node.nextWindow += window.Size
+// admitWaves runs every rack's admission sub-batch — plan *and*
+// commit — on its own worker; evictWaves runs every rack's teardown
+// sub-batch.
+func (s *PodScheduler) admitWaves(workers int) { s.fo.each(workers, len(s.admit.active), s.admitWave) }
+func (s *PodScheduler) evictWaves(workers int) { s.fo.each(workers, len(s.evict.active), s.evictWave) }
 
-	att := rackA.newAttachment()
-	att.Owner = owner
-	att.CPU = cpu.Brick
-	att.Segment = seg
-	att.Circuit = host.Circuit
-	att.CPUPort = host.CPUPort
-	att.MemPort = host.MemPort
-	att.Window = window
-	att.Mode = ModePacket
-	att.CPURack = cpu.Rack
-	att.MemRack = host.MemRack
-	att.cross = s
-	host.Circuit.Riders++
-	rackA.register(att)
-	s.addCrossOrder(att)
-	s.racks[host.MemRack].touchMemory(host.Segment.Brick)
-	return att, s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-}
-
-// DetachRemoteMemory tears a pod attachment down: rack-local ones
-// delegate to their rack's controller, cross ones to their tier's site
-// (the routing lives on the attachment, so either entry point works).
-func (s *PodScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return att.crossRow.crossSite(att).detach(att, nil)
-	}
-	if att.cross != nil {
-		return s.crossSite(att).detach(att, nil)
-	}
-	if att.CPURack < 0 || att.CPURack >= len(s.racks) {
-		return 0, fmt.Errorf("sdm: attachment names rack %d outside the pod", att.CPURack)
-	}
-	return s.racks[att.CPURack].DetachRemoteMemory(att)
-}
-
-// crossSite is the detach site of a cross-rack attachment: both
-// endpoint racks, the pod switch tier between them, and this tier's
-// host table, walk order and counters.
-func (s *PodScheduler) crossSite(att *Attachment) detachSite {
-	return detachSite{
-		cpuRack: s.racks[att.CPURack], memRack: s.racks[att.MemRack],
-		t: s.tier(att.CPURack, att.MemRack), hostTab: s.crossHosts[att.CPURack],
-		order: &s.cross, stats: &s.tally, noun: "cross-rack ",
-	}
+func (s *PodScheduler) repoint(att *Attachment, newCPU topo.BrickID) (tgl.Entry, sim.Duration, error) {
+	return s.Repoint(att, topo.PodBrickID{Rack: att.CPURack, Brick: newCPU})
 }
 
 // Repoint re-points an attachment's compute end at any brick in the
@@ -483,9 +275,10 @@ func (s *PodScheduler) crossSite(att *Attachment) detachSite {
 // primitive that lets a VM's remote memory follow it across racks
 // during migration.
 func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Entry, sim.Duration, error) {
-	if att.crossRow != nil {
-		// Re-tiering through the row switch is not modeled yet.
-		return tgl.Entry{}, 0, fmt.Errorf("sdm: cannot repoint cross-pod attachment of %q", att.Owner)
+	if att.cross != nil && att.cross != &s.crossTier {
+		// Another tier owns it (re-tiering through the row switch is not
+		// modeled).
+		return att.cross.spec.repoint(att, newCPU.Brick)
 	}
 	if att.cross == nil && att.CPURack == newCPU.Rack {
 		// Purely rack-local: the rack controller owns the bookkeeping.
@@ -515,7 +308,7 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 	}
 	wasCross := att.CrossRack()
 	op := planRepoint(s.cfg, att, oldRack, newRack, newCPU.Brick,
-		s.tier(att.CPURack, att.MemRack), s.tier(newCPU.Rack, att.MemRack),
+		s.link(att.CPURack, att.MemRack), s.link(newCPU.Rack, att.MemRack),
 		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
 			// Owner registration follows the compute rack (register re-stamps
 			// ownerID against the new rack's intern table).
@@ -536,8 +329,8 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 			att.CPURack = newCPU.Rack
 			ord := newRack.cpuPos(newCPU.Brick)
 			if att.CrossRack() {
-				att.cross = s
-				s.crossHosts[newCPU.Rack][ord] = append(s.crossHosts[newCPU.Rack][ord], att)
+				att.cross = &s.crossTier
+				newRack.crossHosts[0][ord] = append(newRack.crossHosts[0][ord], att)
 				s.addCrossOrder(att)
 			} else {
 				att.cross = nil
@@ -555,69 +348,8 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 // removeCrossHost drops a cross-rack circuit attachment from the
 // fallback host index.
 func (s *PodScheduler) removeCrossHost(att *Attachment) {
-	hosts := s.crossHosts[att.CPURack]
-	ord := s.racks[att.CPURack].cpuPos(att.CPU)
+	r := s.racks[att.CPURack]
+	hosts := r.crossHosts[0]
+	ord := r.cpuPos(att.CPU)
 	hosts[ord] = dropAtt(hosts[ord], att)
-}
-
-// Attachments returns the live attachments of an owner across the pod
-// (a copy, in attach order — an owner's attachments all register on its
-// compute rack's controller).
-func (s *PodScheduler) Attachments(owner string) []*Attachment {
-	for _, r := range s.racks {
-		if id, ok := r.ownerIDs[owner]; ok && len(r.attachments[id]) > 0 {
-			return r.Attachments(owner)
-		}
-	}
-	return nil
-}
-
-// AppendAttachments appends the owner's live attachments across the pod
-// to dst and returns the extended slice — the allocation-free variant
-// of Attachments.
-func (s *PodScheduler) AppendAttachments(dst []*Attachment, owner string) []*Attachment {
-	for _, r := range s.racks {
-		if id, ok := r.ownerIDs[owner]; ok && len(r.attachments[id]) > 0 {
-			return r.AppendAttachments(dst, owner)
-		}
-	}
-	return dst
-}
-
-// PowerOffIdle sweeps every rack and returns the total bricks stopped.
-func (s *PodScheduler) PowerOffIdle() int {
-	n := 0
-	for _, r := range s.racks {
-		n += r.PowerOffIdle()
-	}
-	return n
-}
-
-// PowerOnAll powers every brick in the pod up.
-func (s *PodScheduler) PowerOnAll() {
-	for _, r := range s.racks {
-		r.PowerOnAll()
-	}
-}
-
-// Census aggregates the power census for one brick kind pod-wide.
-func (s *PodScheduler) Census(kind topo.BrickKind) PowerCensus {
-	var pc PowerCensus
-	for _, r := range s.racks {
-		c := r.Census(kind)
-		pc.Off += c.Off
-		pc.Idle += c.Idle
-		pc.Active += c.Active
-	}
-	return pc
-}
-
-// DrawW returns the pod's electrical draw: every rack (bricks plus rack
-// switch) plus the pod switch.
-func (s *PodScheduler) DrawW(profiles map[topo.BrickKind]brick.PowerProfile) float64 {
-	w := s.fabric.PowerW()
-	for _, r := range s.racks {
-		w += r.DrawW(profiles)
-	}
-	return w
 }

@@ -45,13 +45,8 @@ func (c *Controller) ReserveComputeExcept(owner string, vcpus int, localMem bric
 // It returns the new window (migration callers must re-home the
 // baremetal hotplug range) and the orchestration latency.
 func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) (tgl.Entry, sim.Duration, error) {
-	if att.crossRow != nil {
-		// Cross-pod circuits would have to be rebuilt through the row
-		// switch; row-tier migration is not modeled yet.
-		return tgl.Entry{}, 0, fmt.Errorf("sdm: cannot repoint cross-pod attachment of %q", att.Owner)
-	}
 	if att.cross != nil {
-		return att.cross.Repoint(att, topo.PodBrickID{Rack: att.CPURack, Brick: newCPU})
+		return att.cross.spec.repoint(att, newCPU)
 	}
 	c.requests++
 	if !c.registered(att) {

@@ -102,7 +102,7 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 	newMemRack := s.racks[targetRack]
 	op := planRehome(kind, s.cfg, att, rackA, s.racks[att.MemRack], newMemRack,
 		func() (topo.BrickID, bool) { return newMemRack.pickMemory(att.Size()) },
-		s.tier(att.CPURack, att.MemRack), s.tier(att.CPURack, targetRack),
+		s.link(att.CPURack, att.MemRack), s.link(att.CPURack, targetRack),
 		func(newMem topo.BrickID, seg *brick.Segment, memPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
 			att.Segment = seg
 			att.MemPort = memPort
@@ -120,8 +120,8 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 				s.promoted++
 			case !wasCross && nowCross:
 				rackA.removeCircuitHost(att)
-				att.cross = s
-				s.crossHosts[att.CPURack][ord] = append(s.crossHosts[att.CPURack][ord], att)
+				att.cross = &s.crossTier
+				rackA.crossHosts[0][ord] = append(rackA.crossHosts[0][ord], att)
 				s.addCrossOrder(att)
 			}
 		})

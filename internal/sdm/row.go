@@ -11,13 +11,13 @@ import (
 )
 
 // RowScheduler shards SDM orchestration across a row of pods — the
-// datacenter-scale tier. Each pod keeps its autonomous PodScheduler
-// (which in turn shards across rack controllers); the row tier routes
-// requests with the same recursive placement contract one level up:
+// datacenter-scale tier. It is the pod tier one level up: the same tier
+// body (tier.go) over PodSchedulers instead of rack Controllers, with
+// the same recursive placement contract:
 //
 //   - Compute and memory go pod-local first. Pod choice is the same
-//     O(1)-per-candidate arithmetic PodScheduler uses for rack choice,
-//     read from hierarchical aggregates (agg.go): free cores, free
+//     O(1)-per-candidate arithmetic the pod runs for rack choice, read
+//     from each pod's aggregate summary (agg.go): free cores, free
 //     memory, max gap and power census roll up from rack index roots
 //     into per-pod summaries maintained incrementally at the index
 //     choke points — pod choice at 32 pods of 32 racks is O(pods)
@@ -31,55 +31,33 @@ import (
 //     the row tier: the attachment rides an existing cross-pod circuit
 //     from the same compute brick.
 //
-// Cross-pod attachments register in the compute rack's controller (so
-// Attachments and scale-down stay uniform) and are tagged with the row
-// scheduler, which owns their teardown.
+// Row-specific are the row switch (crossLink), the batch engines' wave
+// sequence (a pod plan wave, one flat (pod, rack) commit wave, a pod
+// merge wave) and the AggCensus fast path.
 type RowScheduler struct {
-	cfg    Config
+	tier[*PodScheduler]
 	row    *topo.Row
 	fabric *optical.RowFabric
-	pods   []*PodScheduler
-
-	// aggs holds one cached aggregate summary per pod, nil in
-	// linear-scan mode (where the index choke points don't fire and the
-	// row falls back to summing rack roots on demand).
-	aggs []*podAgg
-
-	// crossHosts indexes cross-pod circuit attachments by compute brick
-	// — [pod][rack][compute ordinal] — for the row-tier packet fallback.
-	// (Packet-rider counts live on the circuits: optical.Circuit.Riders.)
-	crossHosts [][][][]*Attachment
-
-	// crossTier's walk order lists every live cross-pod attachment in
-	// spill order, mirroring the pod tier's rebalancer walk order one
-	// tier up, threaded intrusively through the attachments themselves.
-	crossTier
+	// pods is the tier's kids under their row-tier name.
+	pods []*PodScheduler
 
 	// tierConns caches cross-pod connectors per endpoint quadruple
 	// (cpuPod, cpuRack, memPod, memRack).
 	tierConns map[[4]int]connector
 
-	// evict holds EvictBatch's reused partition buffers (see
-	// rowteardown.go); admit holds AdmitBatch's (see rowbatch.go). Both
-	// are serial at the row tier, so one set of each suffices and a
-	// steady burst train stops allocating.
-	evict rowEvictScratch
-	admit rowAdmitScratch
-	// fo is the reusable fan-out scratch behind forEachPod and
-	// forEachShard; the row's phases run sequentially, so one instance
-	// suffices (see fanout.go).
-	fo fanout
-	// The batch engines' wave closures, built once at construction:
-	// they read each batch's shard ranges through the reused scratch,
-	// so a serial batch creates no closure per call (a fan-out fn
-	// escapes into the fanout scratch and would otherwise
-	// heap-allocate every batch).
-	admitPlanWave   func(p int)
-	admitCommitWave func(sh rackShard)
-	admitMergeWave  func(p int)
-	evictPlanWave   func(p int)
-	evictCommitWave func(sh rackShard)
-	evictMergeWave  func(p int)
+	// shards lists the (pod, rack) units of the current flat commit
+	// wave.
+	shards []rackShard
+	// The batch engines' waves, built once at construction: they read
+	// each batch's shard ranges through the reused scratch, so a serial
+	// batch creates no closure per call (a fan-out fn escapes into the
+	// fanout scratch and would otherwise heap-allocate every batch).
+	admitPlanWave   func(i int)
+	admitCommitWave func(i int)
+	admitMergeWave  func(i int)
+	evictPlanWave   func(i int)
+	evictCommitWave func(i int)
+	evictMergeWave  func(i int)
 }
 
 // NewRowScheduler builds one PodScheduler per pod over the row fabric's
@@ -94,58 +72,61 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 	if row.Pods() != fabric.Pods() {
 		return nil, fmt.Errorf("sdm: row has %d pods but the fabric has %d", row.Pods(), fabric.Pods())
 	}
-	s := &RowScheduler{
-		cfg:    cfg,
-		row:    row,
-		fabric: fabric,
-	}
+	s := &RowScheduler{row: row, fabric: fabric}
 	for i := 0; i < row.Pods(); i++ {
 		p, err := NewPodScheduler(row.Pod(i), fabric.Pod(i), bc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sdm: pod %d: %w", i, err)
 		}
+		for _, r := range p.racks {
+			r.crossHosts[1] = make([][]*Attachment, len(r.computes))
+		}
+		// Under ScanLinear the index choke points don't fire, so a
+		// summary would go stale; the pod sums its rack roots instead.
+		if cfg.Scan != ScanLinear {
+			p.agg = newPodAgg(p.racks)
+		}
 		s.pods = append(s.pods, p)
 	}
-	s.crossHosts = make([][][][]*Attachment, len(s.pods))
-	for i, p := range s.pods {
-		s.crossHosts[i] = make([][][]*Attachment, len(p.racks))
-		for j, r := range p.racks {
-			s.crossHosts[i][j] = make([][]*Attachment, len(r.computes))
-		}
-	}
-	if cfg.Scan != ScanLinear {
-		s.aggs = make([]*podAgg, len(s.pods))
-		for i, p := range s.pods {
-			s.aggs[i] = newPodAgg(p.racks)
-		}
-	}
-	s.admitPlanWave = func(p int) {
+	s.init(cfg, 1, s.pods, fabric, s)
+	s.admitPlanWave = func(i int) {
 		sc := &s.admit
-		s.pods[p].admitShardPlan(sc.subReq[sc.offsets[p]:sc.offsets[p+1]])
+		p := sc.active[i]
+		lo, hi := sc.span(p)
+		s.pods[p].partition(sc.subReq[lo:hi])
 	}
-	s.admitCommitWave = func(sh rackShard) {
+	s.admitCommitWave = func(i int) {
+		sh := s.shards[i]
 		a := &s.pods[sh.pod].admit
-		s.pods[sh.pod].racks[sh.rack].placeBatch(
-			a.subReq[a.offsets[sh.rack]:a.offsets[sh.rack+1]],
-			a.subOut[a.offsets[sh.rack]:a.offsets[sh.rack+1]], true)
+		lo, hi := a.span(sh.rack)
+		s.pods[sh.pod].racks[sh.rack].placeBatch(a.subReq[lo:hi], a.subOut[lo:hi], true)
 	}
-	s.admitMergeWave = func(p int) {
+	s.admitMergeWave = func(i int) {
 		sc := &s.admit
-		s.pods[p].admitShardMerge(sc.subReq[sc.offsets[p]:sc.offsets[p+1]], sc.subOut[sc.offsets[p]:sc.offsets[p+1]])
+		p := sc.active[i]
+		lo, hi := sc.span(p)
+		s.pods[p].gather(sc.subReq[lo:hi], sc.subOut[lo:hi])
+		s.pods[p].merge(sc.subReq[lo:hi], sc.subOut[lo:hi], true)
 	}
-	s.evictPlanWave = func(p int) {
+	s.evictPlanWave = func(i int) {
 		sc := &s.evict
-		s.pods[p].evictShardPlan(sc.subReq[sc.offsets[p]:sc.offsets[p+1]])
+		p := sc.active[i]
+		lo, hi := sc.span(p)
+		s.pods[p].evictPlan(sc.subReq[lo:hi])
 	}
-	s.evictCommitWave = func(sh rackShard) {
+	s.evictCommitWave = func(i int) {
+		sh := s.shards[i]
 		e := &s.pods[sh.pod].evict
-		s.pods[sh.pod].racks[sh.rack].ReleaseBatch(
-			e.subReq[e.offsets[sh.rack]:e.offsets[sh.rack+1]],
-			e.subOut[e.offsets[sh.rack]:e.offsets[sh.rack+1]])
+		lo, hi := e.span(sh.rack)
+		s.pods[sh.pod].racks[sh.rack].releaseShard(e.subReq[lo:hi], e.subOut[lo:hi])
 	}
-	s.evictMergeWave = func(p int) {
+	s.evictMergeWave = func(i int) {
 		sc := &s.evict
-		sc.failAt[p], sc.failErr[p] = s.pods[p].evictShardMerge(sc.subReq[sc.offsets[p]:sc.offsets[p+1]], sc.subOut[sc.offsets[p]:sc.offsets[p+1]])
+		p := sc.active[i]
+		lo, hi := sc.span(p)
+		if f, err := s.pods[p].evictMerge(sc.subReq[lo:hi], sc.subOut[lo:hi]); err != nil {
+			sc.subOut[lo+f].Err = err
+		}
 	}
 	return s, nil
 }
@@ -164,19 +145,66 @@ func (s *RowScheduler) Pod(i int) *PodScheduler {
 // Fabric returns the row fabric.
 func (s *RowScheduler) Fabric() *optical.RowFabric { return s.fabric }
 
-// Stats returns the row tier's cumulative request/failure counters and
-// how many attachments spilled cross-pod (circuit or packet).
-func (s *RowScheduler) Stats() (requests, failures, spills uint64) {
-	return s.requests, s.failures, s.spills
+// PodFreeCores reads one pod's free-core sum — the cached per-pod
+// aggregate pod choice is arithmetic over, O(1) under the default
+// indexed scan.
+func (s *RowScheduler) PodFreeCores(i int) int64 { return s.pods[i].freeCores() }
+
+// PodFreeMemory reads one pod's free pooled bytes, like PodFreeCores.
+func (s *RowScheduler) PodFreeMemory(i int) brick.Bytes { return s.pods[i].freeMemory() }
+
+// PodMaxGap reads one pod's largest contiguous memory gap — the
+// admission doom-screen quantity. Linear mode takes the max over the
+// rack index roots.
+func (s *RowScheduler) PodMaxGap(i int) brick.Bytes { return s.pods[i].maxGap() }
+
+// ReserveCompute places a compute reservation row-wide: the policy
+// picks a pod, the pod's scheduler picks the rack and brick.
+func (s *RowScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+	return s.reserve(owner, vcpus, localMem)
 }
 
-// tier returns the connector joining the compute endpoint (pod pa, rack
-// ra) to the memory endpoint (pod pb, rack rb): the pod's own tiers
-// when the pods coincide, the row switch otherwise. Cross-pod
-// connectors are cached per endpoint quadruple.
-func (s *RowScheduler) tier(pa, ra, pb, rb int) connector {
+// ReleaseCompute returns cores and local memory to a brick.
+func (s *RowScheduler) ReleaseCompute(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
+	return s.releaseAt(id, vcpus, localMem)
+}
+
+// AttachRemoteMemory realizes one memory attachment row-wide: pod-local
+// first (with the pod's own rack-local-then-cross-rack cascade), then
+// the cross-pod spill, then the row-tier packet fallback.
+func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	return s.attach(owner, cpu, size)
+}
+
+// AggCensus reads the power census for one brick kind from the cached
+// pod summaries — O(pods) instead of a walk over every brick. Falls
+// back to the exact walk (Census) in linear-scan mode and for
+// accelerators (which the placement indexes don't cover).
+func (s *RowScheduler) AggCensus(kind topo.BrickKind) PowerCensus {
+	if s.cfg.Scan == ScanLinear || (kind != topo.KindCompute && kind != topo.KindMemory) {
+		return s.Census(kind)
+	}
+	var pc PowerCensus
+	for _, p := range s.pods {
+		cnt := p.agg.cpuCensus
+		if kind == topo.KindMemory {
+			cnt = p.agg.memCensus
+		}
+		pc.Off += int(cnt[brick.PowerOff])
+		pc.Idle += int(cnt[brick.PowerIdle])
+		pc.Active += int(cnt[brick.PowerActive])
+	}
+	return pc
+}
+
+// crossLink returns the connector joining the compute endpoint to the
+// memory endpoint: the pod's own tiers when the pods coincide, the row
+// switch otherwise. Cross-pod connectors are cached per endpoint
+// quadruple.
+func (s *RowScheduler) crossLink(cpu, mem topo.RowBrickID) connector {
+	pa, ra, pb, rb := cpu.Pod, cpu.Rack, mem.Pod, mem.Rack
 	if pa == pb {
-		return s.pods[pa].tier(ra, rb)
+		return s.pods[pa].link(ra, rb)
 	}
 	if s.tierConns == nil {
 		s.tierConns = make(map[[4]int]connector)
@@ -195,412 +223,66 @@ func (s *RowScheduler) tier(pa, ra, pb, rb int) connector {
 	return t
 }
 
-// podFreeCores reads one pod's free-core sum — cached O(1) when the
-// aggregates are installed, a rack-root sum otherwise.
-func (s *RowScheduler) podFreeCores(i int) int64 {
-	if s.aggs != nil {
-		return s.aggs[i].FreeCores()
-	}
-	var n int64
-	for _, r := range s.pods[i].racks {
-		n += int64(r.FreeCores())
-	}
-	return n
+// admitWaves runs a row admission's waves: 2a partitions each pod's
+// sub-batch across its racks (one worker per pod); 2b is the flat
+// commit wave, where every (pod, rack) shard across the row plans *and
+// commits* on its own worker, so a row of many lightly loaded pods
+// still keeps every worker busy; 2c gathers each pod's rack shards and
+// runs the pod's rack→pod spill cascade (one worker per pod again).
+func (s *RowScheduler) admitWaves(workers int) {
+	a := &s.admit
+	s.fo.each(workers, len(a.active), s.admitPlanWave)
+	s.commitWave(workers, true, s.admitCommitWave)
+	s.fo.each(workers, len(a.active), s.admitMergeWave)
 }
 
-// podFreeMemory reads one pod's free pooled bytes, like podFreeCores.
-func (s *RowScheduler) podFreeMemory(i int) brick.Bytes {
-	if s.aggs != nil {
-		return s.aggs[i].FreeMemory()
-	}
-	var n brick.Bytes
-	for _, r := range s.pods[i].racks {
-		n += r.FreeMemory()
-	}
-	return n
+// evictWaves is admitWaves' teardown twin: each pod splits its shard,
+// every (pod, rack) ReleaseBatch runs in the flat wave, and each pod
+// runs its cross-rack phase, leaving its first failure in the row's
+// shard results.
+func (s *RowScheduler) evictWaves(workers int) {
+	e := &s.evict
+	s.fo.each(workers, len(e.active), s.evictPlanWave)
+	s.commitWave(workers, false, s.evictCommitWave)
+	s.fo.each(workers, len(e.active), s.evictMergeWave)
 }
 
-// PodFreeCores reads one pod's free-core sum — the cached per-pod
-// aggregate pod choice is arithmetic over, O(1) under the default
-// indexed scan.
-func (s *RowScheduler) PodFreeCores(i int) int64 { return s.podFreeCores(i) }
-
-// PodFreeMemory reads one pod's free pooled bytes, like PodFreeCores.
-func (s *RowScheduler) PodFreeMemory(i int) brick.Bytes { return s.podFreeMemory(i) }
-
-// PodMaxGap reads one pod's largest contiguous memory gap — the
-// admission doom-screen quantity. Linear mode takes the max over the
-// rack index roots.
-func (s *RowScheduler) PodMaxGap(i int) brick.Bytes {
-	if s.aggs != nil {
-		return s.aggs[i].MaxGap()
+// commitWave runs the flat (pod, rack) wave over every rack with a
+// non-empty admission (or eviction) sub-batch in the active pods. Rack
+// shards of one pod share that pod's aggregate summary, so the
+// rack→pod rollup is deferred for the wave and flushed serially in
+// (pod, rack) order before any pod- or row-tier pick reads it; every
+// shard then writes only its own rack's state.
+func (s *RowScheduler) commitWave(workers int, admit bool, fn func(i int)) {
+	active := s.evict.active
+	if admit {
+		active = s.admit.active
 	}
-	var max brick.Bytes
-	for _, r := range s.pods[i].racks {
-		if g := r.MaxMemoryGap(); g > max {
-			max = g
+	shards := s.shards[:0]
+	for _, p := range active {
+		ps := s.pods[p]
+		counts := ps.evict.counts
+		if admit {
+			counts = ps.admit.counts
 		}
-	}
-	return max
-}
-
-// pickComputePod applies the placement policy to pod choice for a
-// compute reservation: per-pod O(1) screens over the cached aggregates
-// plus one confirming rack pick per surviving candidate — the exact
-// recursion of the pod tier's rack choice.
-func (s *RowScheduler) pickComputePod(vcpus int, localMem brick.Bytes) (int, bool) {
-	if s.cfg.Policy == PolicySpread {
-		best, bestFree, found := -1, int64(-1), false
-		for i, p := range s.pods {
-			free := s.podFreeCores(i)
-			if free <= bestFree {
-				continue
-			}
-			if _, ok := p.pickComputeRackExcept(vcpus, localMem, -1); ok {
-				best, bestFree, found = i, free, true
+		for r := range ps.racks {
+			if counts[r] > 0 {
+				shards = append(shards, rackShard{pod: p, rack: r})
 			}
 		}
-		return best, found
 	}
-	// Power-aware and first-fit pack pods in index order. The free-core
-	// sum is a sound screen: no brick can offer more cores than the pod
-	// holds in total.
-	for i, p := range s.pods {
-		if s.aggs != nil && s.podFreeCores(i) < int64(vcpus) {
-			continue
-		}
-		if _, ok := p.pickComputeRackExcept(vcpus, localMem, -1); ok {
-			return i, true
-		}
+	s.shards = shards
+	for _, sh := range shards {
+		s.pods[sh.pod].racks[sh.rack].deferAgg()
 	}
-	return -1, false
-}
-
-// pickMemoryPod applies the placement policy to the pod choice of a
-// cross-pod spill, never returning the VM's home pod. The max-gap
-// aggregate is an exact screen (the pod-wide maximum gap), so a doomed
-// pod costs O(1) without touching its racks.
-func (s *RowScheduler) pickMemoryPod(size brick.Bytes, home int) (int, bool) {
-	if s.cfg.Policy == PolicySpread {
-		best, found := -1, false
-		var bestFree brick.Bytes
-		for i, p := range s.pods {
-			if i == home {
-				continue
-			}
-			free := s.podFreeMemory(i)
-			if found && free <= bestFree {
-				continue
-			}
-			if s.aggs != nil && s.aggs[i].MaxGap() < size {
-				continue
-			}
-			if _, ok := p.pickMemoryRack(size, -1); ok {
-				best, bestFree, found = i, free, true
-			}
-		}
-		return best, found
-	}
-	for i, p := range s.pods {
-		if i == home {
-			continue
-		}
-		if s.aggs != nil && s.aggs[i].MaxGap() < size {
-			continue
-		}
-		if _, ok := p.pickMemoryRack(size, -1); ok {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// ReserveCompute places a compute reservation row-wide: the policy
-// picks a pod, the pod's scheduler picks the rack and brick.
-func (s *RowScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
-	s.requests++
-	pod, ok := s.pickComputePod(vcpus, localMem)
-	if !ok {
-		s.failures++
-		return topo.RowBrickID{}, 0, fmt.Errorf("sdm: no pod in the %d-pod row with %d free cores and %v local memory", len(s.pods), vcpus, localMem)
-	}
-	id, lat, err := s.pods[pod].ReserveCompute(owner, vcpus, localMem)
-	if err != nil {
-		s.failures++
-		return topo.RowBrickID{}, 0, err
-	}
-	return topo.RowBrickID{Pod: pod, Rack: id.Rack, Brick: id.Brick}, lat, nil
-}
-
-// ReleaseCompute returns cores and local memory to a brick.
-func (s *RowScheduler) ReleaseCompute(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
-	if id.Pod < 0 || id.Pod >= len(s.pods) {
-		return fmt.Errorf("sdm: no pod %d in the row", id.Pod)
-	}
-	return s.pods[id.Pod].ReleaseCompute(topo.PodBrickID{Rack: id.Rack, Brick: id.Brick}, vcpus, localMem)
-}
-
-// AttachRemoteMemory realizes one memory attachment row-wide: pod-local
-// first (with the pod's own rack-local-then-cross-rack cascade), then
-// the cross-pod spill, then the row-tier packet fallback.
-func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	s.requests++
-	if cpu.Pod < 0 || cpu.Pod >= len(s.pods) {
-		s.failures++
-		return nil, 0, fmt.Errorf("sdm: no pod %d in the row", cpu.Pod)
-	}
-	podA := s.pods[cpu.Pod]
-	if cpu.Rack < 0 || cpu.Rack >= len(podA.racks) {
-		s.failures++
-		return nil, 0, fmt.Errorf("sdm: no rack %d in pod %d", cpu.Rack, cpu.Pod)
-	}
-	var att *Attachment
-	var lat sim.Duration
-	var localErr error
-	if s.aggs != nil && s.aggs[cpu.Pod].MaxGap() < size {
-		// No brick anywhere in the pod has a contiguous gap for the
-		// request (the aggregate max is exact), so neither the rack-local
-		// attempt nor the pod's cross-rack spill nor its packet fallback
-		// can succeed: skip the doomed pod plan entirely. Counters mirror
-		// the attempt the pod would have made; the matching error text is
-		// materialized only if the row spill fails too.
-		podA.requests++
-		podA.failures++
-		rackA := podA.racks[cpu.Rack]
-		rackA.requests++
-		rackA.failures++
-	} else {
-		att, lat, localErr = podA.AttachRemoteMemory(owner, topo.PodBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
-		if localErr == nil {
-			att.CPUPod, att.MemPod = cpu.Pod, cpu.Pod
-			return att, lat, nil
-		}
-	}
-	att, lat, err := s.attachCross(owner, cpu, size)
-	if err != nil {
-		if localErr == nil {
-			localErr = fmt.Errorf("sdm: no memory brick in pod %d with %v contiguous free and a spare port", cpu.Pod, size)
-		}
-		s.failures++
-		return nil, 0, fmt.Errorf("sdm: row attach for %q failed pod-locally (%v) and cross-pod: %w", owner, localErr, err)
-	}
-	s.spills++
-	return att, lat, nil
-}
-
-// attachCross provisions a cross-pod attachment: a segment in another
-// pod, a circuit through the row switch, and the TGL window on the home
-// rack's compute brick — one OpAttach through the lifecycle engine, so
-// every completed step rolls back on failure. Exhaustion of circuit
-// resources cascades into the row-tier packet fallback.
-func (s *RowScheduler) attachCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	podA := s.pods[cpu.Pod]
-	rackA := podA.racks[cpu.Rack]
-	memPod := -1
-	op := planAttach(s.cfg, owner, size, rackA, cpu.Brick,
-		func() (memPick, bool, error) {
-			p, ok := s.pickMemoryPod(size, cpu.Pod)
-			if !ok {
-				return memPick{}, true, fmt.Errorf("sdm: no pod in the row with %v contiguous free and a spare port", size)
-			}
-			memRack, ok := s.pods[p].pickMemoryRack(size, -1)
-			if !ok {
-				return memPick{}, false, fmt.Errorf("sdm: pod %d memory vanished mid-selection", p)
-			}
-			memID, ok := s.pods[p].racks[memRack].pickMemory(size)
-			if !ok {
-				return memPick{}, false, fmt.Errorf("sdm: pod %d rack %d memory vanished mid-selection", p, memRack)
-			}
-			memPod = p
-			return memPick{rack: s.pods[p].racks[memRack], rackIdx: memRack, brick: memID}, false, nil
-		},
-		// The pick above runs before the circuit step, so memPod is set by
-		// the time the connector is chosen.
-		func(memRack int) connector { return s.tier(cpu.Pod, cpu.Rack, memPod, memRack) },
-		func(att *Attachment, memRack int) {
-			att.CPURack, att.MemRack = cpu.Rack, memRack
-			att.CPUPod, att.MemPod = cpu.Pod, memPod
-			att.crossRow = s
-			rackA.register(att)
-			ord := rackA.cpuPos(cpu.Brick)
-			s.crossHosts[cpu.Pod][cpu.Rack][ord] = append(s.crossHosts[cpu.Pod][cpu.Rack][ord], att)
-			s.addCrossOrder(att)
-		})
-	lat, err := op.Commit()
-	if err != nil {
-		if op.fallback {
-			if att, fl, ferr := s.attachPacketCross(owner, cpu, size); ferr == nil {
-				return att, lat + fl, nil
-			}
-		}
-		return nil, 0, err
-	}
-	return op.att, lat, nil
-}
-
-// attachPacketCross preserves the packet fallback across the row tier:
-// the new attachment rides an existing cross-pod circuit from the same
-// compute brick, steered by the on-brick packet switches.
-func (s *RowScheduler) attachPacketCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	if !s.cfg.PacketFallback {
-		return nil, 0, fmt.Errorf("sdm: packet fallback disabled")
-	}
-	rackA := s.pods[cpu.Pod].racks[cpu.Rack]
-	node := rackA.compute(cpu.Brick)
-	var host *Attachment
-	for _, a := range s.crossHosts[cpu.Pod][cpu.Rack][rackA.cpuPos(cpu.Brick)] {
-		m := s.pods[a.MemPod].racks[a.MemRack].memory(a.Segment.Brick)
-		if m.LargestGap() >= size {
-			host = a
-			break
-		}
-	}
-	if host == nil {
-		return nil, 0, fmt.Errorf("sdm: row packet fallback: no live cross-pod circuit from %v to a memory brick with %v contiguous free", cpu, size)
-	}
-	m := s.pods[host.MemPod].racks[host.MemRack].memory(host.Segment.Brick)
-	seg, err := m.Carve(size, owner)
-	if err != nil {
-		return nil, 0, err
-	}
-	window := tgl.Entry{
-		Base:       node.nextWindow,
-		Size:       uint64(size),
-		Dest:       host.Segment.Brick,
-		DestOffset: uint64(seg.Offset),
-		Port:       host.CPUPort, // shares the host circuit's port
-	}
-	if err := node.Agent.Glue.Attach(window); err != nil {
-		m.Release(seg)
-		return nil, 0, err
-	}
-	node.nextWindow += window.Size
-
-	att := rackA.newAttachment()
-	att.Owner = owner
-	att.CPU = cpu.Brick
-	att.Segment = seg
-	att.Circuit = host.Circuit
-	att.CPUPort = host.CPUPort
-	att.MemPort = host.MemPort
-	att.Window = window
-	att.Mode = ModePacket
-	att.CPURack = cpu.Rack
-	att.MemRack = host.MemRack
-	att.CPUPod = cpu.Pod
-	att.MemPod = host.MemPod
-	att.crossRow = s
-	host.Circuit.Riders++
-	rackA.register(att)
-	s.addCrossOrder(att)
-	s.pods[host.MemPod].racks[host.MemRack].touchMemory(host.Segment.Brick)
-	return att, s.cfg.DecisionLatency + 2*s.cfg.AgentRTT, nil
-}
-
-// DetachRemoteMemory tears a row attachment down: pod-local ones
-// delegate to their pod's scheduler, cross-pod ones to this tier's site
-// (the routing lives on the attachment, so any entry point works).
-func (s *RowScheduler) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
-	if att.crossRow != nil {
-		return s.crossSite(att).detach(att, nil)
-	}
-	if att.CPUPod < 0 || att.CPUPod >= len(s.pods) {
-		return 0, fmt.Errorf("sdm: attachment names pod %d outside the row", att.CPUPod)
-	}
-	return s.pods[att.CPUPod].DetachRemoteMemory(att)
-}
-
-// crossSite is the detach site of a cross-pod attachment: both
-// endpoint racks, the row switch tier between them, and this tier's
-// host table, walk order and counters.
-func (s *RowScheduler) crossSite(att *Attachment) detachSite {
-	return detachSite{
-		cpuRack: s.pods[att.CPUPod].racks[att.CPURack], memRack: s.pods[att.MemPod].racks[att.MemRack],
-		t:       s.tier(att.CPUPod, att.CPURack, att.MemPod, att.MemRack),
-		hostTab: s.crossHosts[att.CPUPod][att.CPURack],
-		order:   &s.cross, stats: &s.tally, noun: "cross-pod ",
+	s.fo.each(workers, len(shards), fn)
+	for _, sh := range shards {
+		s.pods[sh.pod].racks[sh.rack].flushAgg()
 	}
 }
 
-// Attachments returns the live attachments of an owner across the row
-// (a copy, in attach order).
-func (s *RowScheduler) Attachments(owner string) []*Attachment {
-	for _, p := range s.pods {
-		if a := p.Attachments(owner); a != nil {
-			return a
-		}
-	}
-	return nil
-}
-
-// AppendAttachments appends the owner's live attachments across the row
-// to dst and returns the extended slice.
-func (s *RowScheduler) AppendAttachments(dst []*Attachment, owner string) []*Attachment {
-	for _, p := range s.pods {
-		if out := p.AppendAttachments(dst, owner); len(out) > len(dst) {
-			return out
-		}
-	}
-	return dst
-}
-
-// PowerOffIdle sweeps every pod and returns the total bricks stopped.
-func (s *RowScheduler) PowerOffIdle() int {
-	n := 0
-	for _, p := range s.pods {
-		n += p.PowerOffIdle()
-	}
-	return n
-}
-
-// PowerOnAll powers every brick in the row up.
-func (s *RowScheduler) PowerOnAll() {
-	for _, p := range s.pods {
-		p.PowerOnAll()
-	}
-}
-
-// Census aggregates the power census for one brick kind row-wide by
-// walking every rack — the exact reference AggCensus is checked
-// against.
-func (s *RowScheduler) Census(kind topo.BrickKind) PowerCensus {
-	var pc PowerCensus
-	for _, p := range s.pods {
-		c := p.Census(kind)
-		pc.Off += c.Off
-		pc.Idle += c.Idle
-		pc.Active += c.Active
-	}
-	return pc
-}
-
-// AggCensus reads the power census for one brick kind from the cached
-// pod summaries — O(pods) instead of a walk over every brick. Falls
-// back to the exact walk in linear-scan mode and for accelerators
-// (which the placement indexes don't cover).
-func (s *RowScheduler) AggCensus(kind topo.BrickKind) PowerCensus {
-	if s.aggs == nil || (kind != topo.KindCompute && kind != topo.KindMemory) {
-		return s.Census(kind)
-	}
-	var pc PowerCensus
-	for _, g := range s.aggs {
-		cnt := g.cpuCensus
-		if kind == topo.KindMemory {
-			cnt = g.memCensus
-		}
-		pc.Off += int(cnt[brick.PowerOff])
-		pc.Idle += int(cnt[brick.PowerIdle])
-		pc.Active += int(cnt[brick.PowerActive])
-	}
-	return pc
-}
-
-// DrawW returns the row's electrical draw: every pod (bricks, rack and
-// pod switches) plus the row switch.
-func (s *RowScheduler) DrawW(profiles map[topo.BrickKind]brick.PowerProfile) float64 {
-	w := s.fabric.PowerW()
-	for _, p := range s.pods {
-		w += p.DrawW(profiles)
-	}
-	return w
+func (s *RowScheduler) repoint(att *Attachment, _ topo.BrickID) (tgl.Entry, sim.Duration, error) {
+	// Cross-pod circuits would have to be rebuilt through the row
+	// switch; row-tier migration is not modeled yet.
+	return tgl.Entry{}, 0, fmt.Errorf("sdm: cannot repoint cross-pod attachment of %q", att.Owner)
 }

@@ -305,6 +305,9 @@ func TestRowEvictBatchRollsBack(t *testing.T) {
 	if after := rowFingerprint(t, s, false); after != before {
 		t.Fatalf("rollback is not exact:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("after rollback: %v", err)
+	}
 
 	// Dropping the stale attachment, the batch commits and the row
 	// drains completely.
@@ -317,6 +320,9 @@ func TestRowEvictBatchRollsBack(t *testing.T) {
 	}
 	if atts := s.Attachments("vm-a"); atts != nil {
 		t.Fatalf("vm-a attachments = %d after eviction", len(atts))
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("after eviction: %v", err)
 	}
 }
 

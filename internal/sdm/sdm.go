@@ -165,16 +165,12 @@ type Attachment struct {
 	// Zero below the row tier; they differ only for attachments spilled
 	// across the row tier.
 	CPUPod, MemPod int
-	// cross, when non-nil, marks a pod-tier cross-rack attachment and
-	// names the scheduler that owns its bookkeeping — detach and rider
-	// queries route there, so rack-local callers (scale-up controllers)
-	// handle pod attachments without knowing about the pod.
-	cross *PodScheduler
-	// crossRow, when non-nil, marks a row-tier cross-pod attachment and
-	// names the row scheduler that owns its bookkeeping, with the same
-	// routing contract as cross one tier down.
-	crossRow *RowScheduler
-	// seq is the pod scheduler's spill sequence number, the rebalancer's
+	// cross, when non-nil, marks an attachment spilled across a pod or
+	// row tier and names that tier's bookkeeping — detach and re-point
+	// route there, so rack-local callers (scale-up controllers) handle
+	// cross attachments without knowing about the tiers above.
+	cross *crossTier
+	// seq is the owning tier's spill sequence number, the rebalancer's
 	// oldest-first walk order; zero for attachments that never crossed.
 	seq uint64
 	// ownerID is Owner interned against the registering (compute-end)
@@ -231,6 +227,11 @@ type Controller struct {
 	// (Packet-rider counts live on the circuits themselves now:
 	// optical.Circuit.Riders.)
 	circuitHosts [][]*Attachment
+	// crossHosts indexes the cross circuit attachments of this rack's
+	// compute bricks by [tier level][compute ordinal] — pod tier, then
+	// row tier — for that tier's packet fallback; each level is
+	// allocated by the tier that uses it.
+	crossHosts [2][][]*Attachment
 
 	// bareMetal maps compute ordinals to the tenant holding the brick
 	// exclusively ("" = none); bareMetalCount tracks occupancy.
@@ -260,9 +261,9 @@ type Controller struct {
 	// aborting eviction can restore them exactly (see teardown.go).
 	undoLog []detachUndo
 
-	// agg, when non-nil, is the pod-level aggregate summary this rack
-	// rolls up into (see agg.go); aggSlot is the rack's slot in it.
-	// Installed by the row tier so pod choice reads cached per-pod
+	// agg, when non-nil, is the summary of the pod this rack rolls up
+	// into (see agg.go); aggSlot is the rack's slot in it. Installed
+	// when the pod joins a row, so pod choice reads cached per-pod
 	// summaries instead of re-summing racks.
 	agg     *podAgg
 	aggSlot int

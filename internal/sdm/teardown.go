@@ -17,7 +17,7 @@ package sdm
 // brick at batch end. Every batch teardown appends an undo record to a
 // journal. The record captures exactly what the detach destroyed — the
 // segment offsets, the port IDs, the registration positions — so the
-// pod tier's all-or-nothing EvictBatch can replay the journal in
+// pod and row tiers' all-or-nothing EvictBatch can replay the journal in
 // reverse and restore the pre-batch state byte-identically (segments
 // re-carved at their exact offsets, the exact ports re-acquired,
 // circuits rebuilt and re-keyed for any packet-mode riders, the walk
@@ -138,23 +138,30 @@ func (c *Controller) beginTeardown() {
 func (c *Controller) ReleaseBatch(reqs []ReleaseRequest, out []ReleaseResult) {
 	c.beginTeardown()
 	for i := range reqs {
-		c.releaseOne(&reqs[i], &out[i])
+		r := &reqs[i]
+		c.releaseOne(r.CPU, r.VCPUs, r.LocalMem, r.Atts, &out[i])
+	}
+	c.endBatch()
+}
+
+// releaseShard is ReleaseBatch over a pod's eviction shard.
+func (c *Controller) releaseShard(reqs []EvictRequest, out []ReleaseResult) {
+	c.beginTeardown()
+	for i := range reqs {
+		r := &reqs[i]
+		c.releaseOne(r.CPU, r.VCPUs, r.LocalMem, r.Atts, &out[i])
 	}
 	c.endBatch()
 }
 
 // releaseOne serves one retirement of a batch. Cross attachments are
-// their scheduler's to tear down, never a rack batch's.
-func (c *Controller) releaseOne(req *ReleaseRequest, res *ReleaseResult) {
+// their tier's to tear down, never a rack batch's.
+func (c *Controller) releaseOne(cpu topo.BrickID, vcpus int, localMem brick.Bytes, atts []*Attachment, res *ReleaseResult) {
 	*res = ReleaseResult{}
 	site := c.localSite()
-	for _, att := range req.Atts {
-		if att.crossRow != nil {
-			res.Err = fmt.Errorf("sdm: cross-pod attachment of %q in a rack-local release batch", att.Owner)
-			return
-		}
+	for _, att := range atts {
 		if att.cross != nil {
-			res.Err = fmt.Errorf("sdm: cross-rack attachment of %q in a rack-local release batch", att.Owner)
+			res.Err = fmt.Errorf("sdm: %sattachment of %q in a rack-local release batch", tierNames[att.cross.lvl].site, att.Owner)
 			return
 		}
 		lat, err := site.detach(att, &c.undoLog)
@@ -165,8 +172,8 @@ func (c *Controller) releaseOne(req *ReleaseRequest, res *ReleaseResult) {
 		res.DetachLat += lat
 		res.Detached++
 	}
-	if req.VCPUs > 0 || req.LocalMem > 0 {
-		if err := c.ReleaseCompute(req.CPU, req.VCPUs, req.LocalMem); err != nil {
+	if vcpus > 0 || localMem > 0 {
+		if err := c.ReleaseCompute(cpu, vcpus, localMem); err != nil {
 			res.Err = err
 			return
 		}

@@ -292,7 +292,7 @@ func TestEvictBatchRollbackRestoresState(t *testing.T) {
 				if trial%2 == 1 {
 					// Odd trials poison the serial cross phase instead of
 					// the parallel rack phase.
-					ghost.cross = s
+					ghost.cross = &s.crossTier
 					ghost.CPURack, ghost.MemRack = placed[0].Rack, (placed[0].Rack+1)%3
 				}
 				pi := int(rng.Uint64() % uint64(len(batch)))
@@ -637,12 +637,8 @@ func TestRefusedDetachLeavesAttachmentLive(t *testing.T) {
 			if after := rowFingerprint(t, s, false); after != before {
 				t.Fatalf("refused detach changed state:\nbefore:\n%s\nafter:\n%s", before, after)
 			}
-			for p := 0; p < s.Pods(); p++ {
-				for r := 0; r < s.Pod(p).Racks(); r++ {
-					if err := s.Pod(p).Rack(r).checkDatapath(r); err != nil {
-						t.Fatalf("pod %d: %v", p, err)
-					}
-				}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 			r, f, sp := s.Stats()
 			return fmt.Sprintf("%s\nrow %d/%d/%d", rowFingerprint(t, s, true), r, f, sp)

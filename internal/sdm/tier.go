@@ -1,0 +1,650 @@
+package sdm
+
+// The tier body. A pod routes requests to rack Controllers; a row
+// routes them to PodSchedulers with the same placement contract one
+// level up (DESIGN §11). Both embed one tier[C] over their children:
+//
+//   - Child choice is O(children) arithmetic over each child's O(1)
+//     answers — free cores, free memory, max gap and the can-place
+//     screens — plus one confirming pick per surviving candidate.
+//   - A memory request the VM's child cannot serve spills across the
+//     tier's own circuit switch (attachCross), and when no cross
+//     circuit can be provisioned it rides an existing one of the same
+//     compute brick in packet mode (attachPacketCross).
+//   - Cross attachments register on their compute rack, carry the
+//     owning tier's crossTier as their tag, and detach through the
+//     site that tier builds (crossSite), from any entry point.
+//
+// A tier addresses bricks row-wide (topo.RowBrickID); the pod tier
+// leaves the Pod field alone. What stays tier-specific is behind
+// tierSpec: the switch fabric between two children, the batch engines'
+// wave sequence and re-pointing a cross attachment.
+
+import (
+	"fmt"
+
+	"repro/internal/brick"
+	"repro/internal/sim"
+	"repro/internal/tgl"
+	"repro/internal/topo"
+)
+
+// child is what a tier asks of the units it routes to — a rack
+// Controller under a pod, a PodScheduler under a row. The screens are
+// O(1) and sound (false is exact); the fits* picks confirm.
+type child interface {
+	freeCores() int64
+	freeMemory() brick.Bytes
+	maxGap() brick.Bytes
+	canPlaceCompute(vcpus int, localMem brick.Bytes) bool
+	canPlaceMemory(size brick.Bytes) bool
+	fitsCompute(vcpus int, localMem brick.Bytes) bool
+	fitsMemory(size brick.Bytes) bool
+	// pickMem selects the memory end of a spill landing on this child,
+	// which sits at index self in its tier.
+	pickMem(size brick.Bytes, self int) (memPick, bool)
+	// rackAt returns the child's rack i (a rack is its own only rack);
+	// hasRack validates i.
+	rackAt(i int) *Controller
+	hasRack(i int) bool
+
+	reserveIn(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error)
+	releaseIn(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error
+	attachIn(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error)
+	// doom mirrors the counters of an attach the parent's doom screen
+	// skipped.
+	doom(cpu topo.RowBrickID)
+	DetachRemoteMemory(att *Attachment) (sim.Duration, error)
+
+	AppendAttachments(dst []*Attachment, owner string) []*Attachment
+	PowerOffIdle() int
+	PowerOnAll()
+	Census(kind topo.BrickKind) PowerCensus
+	DrawW(profiles map[topo.BrickKind]brick.PowerProfile) float64
+
+	// Batch bookkeeping: boot logs and spill sequence marks for an
+	// admission's all-or-nothing abort, undo journals for an eviction's.
+	beginAdmit()
+	endAdmit()
+	abortAdmit()
+	resetJournals()
+	rollbackEvict(cause error) error
+}
+
+// tierSpec is what stays tier-specific, implemented by PodScheduler
+// and RowScheduler.
+type tierSpec interface {
+	// crossSite is the tier body's own (promoted); it is here so an
+	// attachment's owner tag can reach it.
+	crossSite(att *Attachment) detachSite
+	// crossLink is the circuit tier joining two row-wide endpoints.
+	crossLink(cpu, mem topo.RowBrickID) connector
+	admitWaves(workers int)
+	evictWaves(workers int)
+	repoint(att *Attachment, newCPU topo.BrickID) (tgl.Entry, sim.Duration, error)
+}
+
+// tierNames holds the nouns of each level's error texts; site is the
+// detach-site noun, with its trailing space.
+var tierNames = [2]struct{ tier, kid, cross, site string }{
+	{"pod", "rack", "cross-rack", "cross-rack "},
+	{"row", "pod", "cross-pod", "cross-pod "},
+}
+
+// tier is the body shared by the pod (C = *Controller) and the row
+// (C = *PodScheduler).
+type tier[C child] struct {
+	cfg  Config
+	kids []C
+	// sw is the tier's own circuit switch, for DrawW.
+	sw interface{ PowerW() float64 }
+	crossTier
+
+	// admit and evict hold the batch engines' reused partition state;
+	// fo is the reusable fan-out scratch of the tier's waves (see
+	// tierbatch.go).
+	admit admitScratch
+	evict evictScratch
+	fo    fanout
+}
+
+// init wires a tier at level lvl (0 pod, 1 row) over its children, its
+// own switch and the embedding scheduler.
+func (t *tier[C]) init(cfg Config, lvl int, kids []C, sw interface{ PowerW() float64 }, spec tierSpec) {
+	t.cfg, t.kids, t.sw = cfg, kids, sw
+	t.lvl, t.spec = lvl, spec
+}
+
+// kidOf is the index of the child holding l.
+func (t *tier[C]) kidOf(l topo.RowBrickID) int {
+	if t.lvl == 0 {
+		return l.Rack
+	}
+	return l.Pod
+}
+
+// rackOf is the rack controller holding l.
+func (t *tier[C]) rackOf(l topo.RowBrickID) *Controller {
+	return t.kids[t.kidOf(l)].rackAt(l.Rack)
+}
+
+// stampKids records an attachment's endpoint children at this level.
+func (t *tier[C]) stampKids(att *Attachment, cpuKid, memKid int) {
+	if t.lvl == 0 {
+		att.CPURack, att.MemRack = cpuKid, memKid
+	} else {
+		att.CPUPod, att.MemPod = cpuKid, memKid
+	}
+}
+
+// setLoc records the compute brick a batch result landed on.
+func (t *tier[C]) setLoc(res *AdmitResult, l topo.RowBrickID) {
+	res.CPU, res.Rack = l.Brick, l.Rack
+	if t.lvl > 0 {
+		res.Pod = l.Pod
+	}
+}
+
+// idOf is l as the tier's exported ID type, for error texts.
+func (t *tier[C]) idOf(l topo.RowBrickID) fmt.Stringer {
+	if t.lvl == 0 {
+		return topo.PodBrickID{Rack: l.Rack, Brick: l.Brick}
+	}
+	return l
+}
+
+// badLoc describes why l names no compute location of this tier, or
+// returns "".
+func (t *tier[C]) badLoc(l topo.RowBrickID) string {
+	n := tierNames[t.lvl]
+	k := t.kidOf(l)
+	if k < 0 || k >= len(t.kids) {
+		return fmt.Sprintf("no %s %d in the %s", n.kid, k, n.tier)
+	}
+	if !t.kids[k].hasRack(l.Rack) {
+		return fmt.Sprintf("no rack %d in pod %d", l.Rack, l.Pod)
+	}
+	return ""
+}
+
+// noGapErr is the local failure of an attach the doom screen skipped.
+func (t *tier[C]) noGapErr(cpu topo.RowBrickID, size brick.Bytes) error {
+	if t.lvl == 0 {
+		return fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size)
+	}
+	return fmt.Errorf("sdm: no memory brick in pod %d with %v contiguous free and a spare port", cpu.Pod, size)
+}
+
+// spillErr is an attach that failed both child-locally and across the
+// tier.
+func (t *tier[C]) spillErr(owner string, localErr, err error) error {
+	n := tierNames[t.lvl]
+	return fmt.Errorf("sdm: %s attach for %q failed %s-locally (%v) and %s: %w", n.tier, owner, n.kid, localErr, n.cross, err)
+}
+
+// Stats returns the tier's cumulative request/failure counters and how
+// many attachments spilled across it (circuit or packet).
+func (t *tier[C]) Stats() (requests, failures, spills uint64) {
+	return t.requests, t.failures, t.spills
+}
+
+// pickCompute applies the placement policy to child choice for a
+// compute reservation, never returning exclude. Indexed choice is
+// O(children) arithmetic: each child's O(1) screens, and one confirming
+// pick for the child that could actually win. Under ScanLinear every
+// child runs a full pick per probe — the pre-index nested scan.
+func (t *tier[C]) pickCompute(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
+	linear := t.cfg.Scan == ScanLinear
+	if t.cfg.Policy == PolicySpread {
+		best, bestFree, found := -1, int64(-1), false
+		for i, k := range t.kids {
+			if i == exclude {
+				continue
+			}
+			if linear {
+				if k.fitsCompute(vcpus, localMem) {
+					if free := k.freeCores(); free > bestFree {
+						best, bestFree, found = i, free, true
+					}
+				}
+				continue
+			}
+			free := k.freeCores()
+			if free <= bestFree || !k.canPlaceCompute(vcpus, localMem) {
+				continue
+			}
+			if k.fitsCompute(vcpus, localMem) {
+				best, bestFree, found = i, free, true
+			}
+		}
+		return best, found
+	}
+	// Power-aware and first-fit pack children in index order.
+	for i, k := range t.kids {
+		if i == exclude || (!linear && !k.canPlaceCompute(vcpus, localMem)) {
+			continue
+		}
+		if k.fitsCompute(vcpus, localMem) {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// pickMemory applies the placement policy to the child choice of a
+// spill, never returning the VM's home child; same structure as
+// pickCompute.
+func (t *tier[C]) pickMemory(size brick.Bytes, home int) (int, bool) {
+	linear := t.cfg.Scan == ScanLinear
+	if t.cfg.Policy == PolicySpread {
+		best, found := -1, false
+		var bestFree brick.Bytes
+		for i, k := range t.kids {
+			if i == home {
+				continue
+			}
+			if linear {
+				if k.fitsMemory(size) {
+					if free := k.freeMemory(); !found || free > bestFree {
+						best, bestFree, found = i, free, true
+					}
+				}
+				continue
+			}
+			free := k.freeMemory()
+			if (found && free <= bestFree) || !k.canPlaceMemory(size) {
+				continue
+			}
+			if k.fitsMemory(size) {
+				best, bestFree, found = i, free, true
+			}
+		}
+		return best, found
+	}
+	for i, k := range t.kids {
+		if i == home || (!linear && !k.canPlaceMemory(size)) {
+			continue
+		}
+		if k.fitsMemory(size) {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// pickComputePlanned is child choice over room, each child's pre-batch
+// free cores less the cores the batch already planned onto it —
+// O(children) arithmetic with no confirming pick (a mis-estimate
+// surfaces as a leftover and is re-placed against committed state in
+// the merge).
+func (t *tier[C]) pickComputePlanned(vcpus int, localMem brick.Bytes, room []int64) int {
+	if t.cfg.Policy == PolicySpread {
+		best, bestFree := -1, int64(-1)
+		for i, k := range t.kids {
+			free := room[i]
+			if free < int64(vcpus) || free <= bestFree || !k.canPlaceCompute(vcpus, localMem) {
+				continue
+			}
+			best, bestFree = i, free
+		}
+		return best
+	}
+	for i, k := range t.kids {
+		if room[i] >= int64(vcpus) && k.canPlaceCompute(vcpus, localMem) {
+			return i
+		}
+	}
+	return -1
+}
+
+// partitionStep runs one request through the serial partition: the
+// full per-request child choice while nothing is planned yet (so a
+// batch of one reproduces the sequential path), the planned-adjusted
+// choice afterwards. It consumes from room on success and returns the
+// chosen child (-1 for a leftover).
+func (t *tier[C]) partitionStep(req *AdmitRequest, room []int64, plannedAny *bool) int {
+	var k int
+	if !*plannedAny {
+		var ok bool
+		if k, ok = t.pickCompute(req.VCPUs, req.LocalMem, -1); !ok {
+			return -1
+		}
+		*plannedAny = true
+	} else if k = t.pickComputePlanned(req.VCPUs, req.LocalMem, room); k < 0 {
+		return -1
+	}
+	room[k] -= int64(req.VCPUs)
+	return k
+}
+
+// reserve places a compute reservation tier-wide: the policy picks a
+// child, the child picks the brick.
+func (t *tier[C]) reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+	t.requests++
+	k, ok := t.pickCompute(vcpus, localMem, -1)
+	if !ok {
+		t.failures++
+		n := tierNames[t.lvl]
+		return topo.RowBrickID{}, 0, fmt.Errorf("sdm: no %s in the %d-%s %s with %d free cores and %v local memory", n.kid, len(t.kids), n.kid, n.tier, vcpus, localMem)
+	}
+	id, lat, err := t.kids[k].reserveIn(owner, vcpus, localMem)
+	if err != nil {
+		t.failures++
+		return topo.RowBrickID{}, 0, err
+	}
+	if t.lvl == 0 {
+		id.Rack = k
+	} else {
+		id.Pod = k
+	}
+	return id, lat, nil
+}
+
+// releaseAt returns cores and local memory to a brick.
+func (t *tier[C]) releaseAt(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
+	k := t.kidOf(id)
+	if k < 0 || k >= len(t.kids) {
+		n := tierNames[t.lvl]
+		return fmt.Errorf("sdm: no %s %d in the %s", n.kid, k, n.tier)
+	}
+	return t.kids[k].releaseIn(id, vcpus, localMem)
+}
+
+// attach realizes one memory attachment tier-wide: child-local first
+// (with the child's own cascade), then the spill across this tier's
+// switch, then this tier's packet fallback.
+func (t *tier[C]) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	t.requests++
+	if bad := t.badLoc(cpu); bad != "" {
+		t.failures++
+		return nil, 0, fmt.Errorf("sdm: %s", bad)
+	}
+	k := t.kidOf(cpu)
+	kid := t.kids[k]
+	var att *Attachment
+	var lat sim.Duration
+	var localErr error
+	if t.cfg.Scan != ScanLinear && kid.maxGap() < size {
+		// No brick anywhere in the child has a contiguous gap for the
+		// request (the max is exact), so neither its local attempt nor
+		// anything it could cascade into can succeed: skip the doomed
+		// plan. Counters mirror the attempt; the matching error text is
+		// materialized only if the spill fails too, keeping the hot
+		// spill path allocation-free.
+		kid.doom(cpu)
+	} else {
+		att, lat, localErr = kid.attachIn(owner, cpu, size)
+		if localErr == nil {
+			t.stampKids(att, k, k)
+			return att, lat, nil
+		}
+	}
+	att, lat, err := t.attachCross(owner, cpu, size)
+	if err != nil {
+		if localErr == nil {
+			localErr = t.noGapErr(cpu, size)
+		}
+		t.failures++
+		return nil, 0, t.spillErr(owner, localErr, err)
+	}
+	t.spills++
+	return att, lat, nil
+}
+
+// attachCross provisions an attachment across this tier: a segment in
+// another child, a circuit through the tier's switch, and the TGL
+// window on the home rack's compute brick — one OpAttach through the
+// lifecycle engine, so every completed step rolls back on failure.
+// Exhaustion of circuit resources cascades into the packet fallback.
+func (t *tier[C]) attachCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	k, rackA := t.kidOf(cpu), t.rackOf(cpu)
+	op := planAttach(t.cfg, owner, size, rackA, cpu.Brick,
+		func() (memPick, bool, error) {
+			n := tierNames[t.lvl]
+			mk, ok := t.pickMemory(size, k)
+			if !ok {
+				return memPick{}, true, fmt.Errorf("sdm: no %s in the %s with %v contiguous free and a spare port", n.kid, n.tier, size)
+			}
+			pick, ok := t.kids[mk].pickMem(size, mk)
+			if !ok {
+				return memPick{}, false, fmt.Errorf("sdm: %s %d memory vanished mid-selection", n.kid, mk)
+			}
+			pick.kid = mk
+			return pick, false, nil
+		},
+		func(m memPick) connector {
+			return t.spec.crossLink(cpu, topo.RowBrickID{Pod: m.kid, Rack: m.rackIdx})
+		},
+		func(att *Attachment, m memPick) {
+			att.CPURack, att.MemRack = cpu.Rack, m.rackIdx
+			t.stampKids(att, k, m.kid)
+			att.cross = &t.crossTier
+			rackA.register(att)
+			hosts := rackA.crossHosts[t.lvl]
+			ord := rackA.cpuPos(cpu.Brick)
+			hosts[ord] = append(hosts[ord], att)
+			t.addCrossOrder(att)
+		})
+	lat, err := op.Commit()
+	if err != nil {
+		if op.fallback {
+			if att, fl, ferr := t.attachPacketCross(owner, cpu, size); ferr == nil {
+				return att, lat + fl, nil
+			}
+		}
+		return nil, 0, err
+	}
+	return op.att, lat, nil
+}
+
+// attachPacketCross preserves the packet fallback across the tier: the
+// new attachment rides an existing cross circuit from the same compute
+// brick, with the on-brick packet switches steering its transactions —
+// two lookup-table pushes instead of a switch reconfiguration.
+func (t *tier[C]) attachPacketCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	if !t.cfg.PacketFallback {
+		return nil, 0, fmt.Errorf("sdm: packet fallback disabled")
+	}
+	rackA := t.rackOf(cpu)
+	node := rackA.compute(cpu.Brick)
+	var host *Attachment
+	var memRack *Controller
+	for _, a := range rackA.crossHosts[t.lvl][rackA.cpuPos(cpu.Brick)] {
+		r := t.rackOf(a.memAt())
+		if r.memory(a.Segment.Brick).LargestGap() >= size {
+			host, memRack = a, r
+			break
+		}
+	}
+	if host == nil {
+		n := tierNames[t.lvl]
+		return nil, 0, fmt.Errorf("sdm: %s packet fallback: no live %scircuit from %v to a memory brick with %v contiguous free", n.tier, n.site, t.idOf(cpu), size)
+	}
+	m := memRack.memory(host.Segment.Brick)
+	seg, err := m.Carve(size, owner)
+	if err != nil {
+		return nil, 0, err
+	}
+	window := tgl.Entry{
+		Base:       node.nextWindow,
+		Size:       uint64(size),
+		Dest:       host.Segment.Brick,
+		DestOffset: uint64(seg.Offset),
+		Port:       host.CPUPort, // shares the host circuit's port
+	}
+	if err := node.Agent.Glue.Attach(window); err != nil {
+		m.Release(seg)
+		return nil, 0, err
+	}
+	node.nextWindow += window.Size
+
+	att := rackA.newAttachment()
+	att.Owner = owner
+	att.CPU = cpu.Brick
+	att.Segment = seg
+	att.Circuit = host.Circuit
+	att.CPUPort = host.CPUPort
+	att.MemPort = host.MemPort
+	att.Window = window
+	att.Mode = ModePacket
+	att.CPURack, att.MemRack = cpu.Rack, host.MemRack
+	t.stampKids(att, t.kidOf(cpu), t.kidOf(host.memAt()))
+	att.cross = &t.crossTier
+	host.Circuit.Riders++
+	rackA.register(att)
+	t.addCrossOrder(att)
+	memRack.touchMemory(host.Segment.Brick)
+	return att, t.cfg.DecisionLatency + 2*t.cfg.AgentRTT, nil
+}
+
+// DetachRemoteMemory tears an attachment down: cross ones through the
+// site of the tier that owns them, child-local ones through their
+// child (the routing lives on the attachment, so any entry point
+// works).
+func (t *tier[C]) DetachRemoteMemory(att *Attachment) (sim.Duration, error) {
+	if att.cross != nil {
+		return att.cross.spec.crossSite(att).detach(att, nil)
+	}
+	k := t.kidOf(att.cpuAt())
+	if k < 0 || k >= len(t.kids) {
+		n := tierNames[t.lvl]
+		return 0, fmt.Errorf("sdm: attachment names %s %d outside the %s", n.kid, k, n.tier)
+	}
+	return t.kids[k].DetachRemoteMemory(att)
+}
+
+// crossSite is the detach site of an attachment this tier owns: both
+// endpoint racks, the switch tier between them, the compute rack's
+// host table for this level, and this tier's walk order and counters.
+func (t *tier[C]) crossSite(att *Attachment) detachSite {
+	cpu, mem := att.cpuAt(), att.memAt()
+	cpuRack := t.rackOf(cpu)
+	return detachSite{
+		cpuRack: cpuRack, memRack: t.rackOf(mem),
+		t: t.spec.crossLink(cpu, mem), hostTab: cpuRack.crossHosts[t.lvl],
+		order: &t.cross, stats: &t.tally, noun: tierNames[t.lvl].site,
+	}
+}
+
+// Attachments returns the live attachments of an owner across the tier
+// (a copy, in attach order — an owner's attachments all register on
+// its compute rack), or nil.
+func (t *tier[C]) Attachments(owner string) []*Attachment {
+	return t.AppendAttachments(nil, owner)
+}
+
+// AppendAttachments appends the owner's live attachments across the
+// tier to dst and returns the extended slice — the allocation-free
+// variant of Attachments.
+func (t *tier[C]) AppendAttachments(dst []*Attachment, owner string) []*Attachment {
+	for _, k := range t.kids {
+		if out := k.AppendAttachments(dst, owner); len(out) > len(dst) {
+			return out
+		}
+	}
+	return dst
+}
+
+// PowerOffIdle sweeps every child and returns the total bricks
+// stopped.
+func (t *tier[C]) PowerOffIdle() int {
+	n := 0
+	for _, k := range t.kids {
+		n += k.PowerOffIdle()
+	}
+	return n
+}
+
+// PowerOnAll powers every brick in the tier up.
+func (t *tier[C]) PowerOnAll() {
+	for _, k := range t.kids {
+		k.PowerOnAll()
+	}
+}
+
+// Census aggregates the power census for one brick kind tier-wide by
+// walking every rack.
+func (t *tier[C]) Census(kind topo.BrickKind) PowerCensus {
+	var pc PowerCensus
+	for _, k := range t.kids {
+		c := k.Census(kind)
+		pc.Off += c.Off
+		pc.Idle += c.Idle
+		pc.Active += c.Active
+	}
+	return pc
+}
+
+// DrawW returns the tier's electrical draw: every child plus the
+// tier's own switch.
+func (t *tier[C]) DrawW(profiles map[topo.BrickKind]brick.PowerProfile) float64 {
+	w := t.sw.PowerW()
+	for _, k := range t.kids {
+		w += k.DrawW(profiles)
+	}
+	return w
+}
+
+// cpuAt is an attachment's compute brick, addressed row-wide; memAt
+// is its memory end's rack.
+func (a *Attachment) cpuAt() topo.RowBrickID {
+	return topo.RowBrickID{Pod: a.CPUPod, Rack: a.CPURack, Brick: a.CPU}
+}
+
+func (a *Attachment) memAt() topo.RowBrickID {
+	return topo.RowBrickID{Pod: a.MemPod, Rack: a.MemRack}
+}
+
+// The rack Controller's side of the child contract: thin views of its
+// exported, index-backed answers.
+
+func (c *Controller) freeCores() int64        { return int64(c.FreeCores()) }
+func (c *Controller) freeMemory() brick.Bytes { return c.FreeMemory() }
+func (c *Controller) maxGap() brick.Bytes     { return c.MaxMemoryGap() }
+func (c *Controller) canPlaceCompute(vcpus int, localMem brick.Bytes) bool {
+	return c.CanPlaceCompute(vcpus, localMem)
+}
+func (c *Controller) canPlaceMemory(size brick.Bytes) bool { return c.CanPlaceMemory(size) }
+func (c *Controller) fitsCompute(vcpus int, localMem brick.Bytes) bool {
+	_, ok := c.pickCompute(vcpus, localMem)
+	return ok
+}
+func (c *Controller) fitsMemory(size brick.Bytes) bool {
+	_, ok := c.pickMemory(size)
+	return ok
+}
+func (c *Controller) pickMem(size brick.Bytes, self int) (memPick, bool) {
+	id, ok := c.pickMemory(size)
+	return memPick{rack: c, rackIdx: self, brick: id}, ok
+}
+func (c *Controller) rackAt(int) *Controller { return c }
+func (c *Controller) hasRack(int) bool       { return true }
+func (c *Controller) reserveIn(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+	id, lat, err := c.ReserveCompute(owner, vcpus, localMem)
+	return topo.RowBrickID{Brick: id}, lat, err
+}
+func (c *Controller) releaseIn(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
+	return c.ReleaseCompute(id.Brick, vcpus, localMem)
+}
+func (c *Controller) attachIn(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	return c.attachLocal(owner, cpu.Brick, size, false)
+}
+func (c *Controller) doom(topo.RowBrickID) {
+	c.requests++
+	c.failures++
+}
+func (c *Controller) beginAdmit()    { c.startBootLog() }
+func (c *Controller) endAdmit()      { c.stopBootLog() }
+func (c *Controller) abortAdmit()    { c.rollbackBoots() }
+func (c *Controller) resetJournals() { c.undoLog = c.undoLog[:0] }
+
+// rollbackEvict replays the rack's teardown journal in reverse.
+func (c *Controller) rollbackEvict(cause error) error {
+	for i := len(c.undoLog) - 1; i >= 0; i-- {
+		if err := c.undoLog[i].undoDetach(); err != nil {
+			cause = fmt.Errorf("%w (and rollback of %q failed: %v)", cause, c.undoLog[i].att.Owner, err)
+		}
+	}
+	c.undoLog = c.undoLog[:0]
+	return cause
+}
