@@ -43,7 +43,16 @@ SATURATION_ROW_RACKS ?= 4
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test vet bench bench-check profile saturation saturation-row
+# `make rowbench-ab PARENT=<rev>` A/Bs the end-to-end row benchmark
+# (rowbench/, BENCHMARK.json) between PARENT and this checkout: PAIRS
+# alternating pairs per workload at --seconds SECONDS --seed SEED, with
+# both medians and quartiles, wins per pair and each metric's bound.
+PARENT ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 30
+SEED ?= 1
+
+.PHONY: build test vet bench bench-check profile saturation saturation-row rowbench-ab
 
 build:
 	$(GO) build ./...
@@ -115,3 +124,6 @@ saturation-row:
 		tail -n +2 artifacts/saturation-row/p$$p/fig10row.csv >> artifacts/saturation-row.csv; \
 	done
 	@echo "wrote artifacts/saturation-row.csv"
+
+rowbench-ab:
+	python3 scripts/rowbench_ab.py --parent $(PARENT) --pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)

@@ -281,7 +281,8 @@ var benchRowRackSpec = topo.BuildSpec{
 }
 
 // benchRow assembles a pods x 32-rack row under the spread policy (the
-// partitioner's worst case: planned aggregates shift on every request).
+// partition's worst case: every claim reorders the children, so no pick
+// is served from the rack pick caches).
 func benchRow(b *testing.B, pods int) *sdm.RowScheduler {
 	b.Helper()
 	racks := fig10RowBenchRacks
@@ -409,15 +410,15 @@ func batchAdmitPod(b *testing.B, policy sdm.Policy) *sdm.PodScheduler {
 // a burst of 128 full admissions (compute pick + local carve + remote
 // attachment) against a 16-rack pod, served through AdmitBatch versus
 // the per-request indexed path (ReserveCompute + AttachRemoteMemory
-// per request). The batch path amortizes what the per-request path
-// repays per call — policy descents (pick caching under the packing
-// policies), index-leaf refreshes (one per touched brick per batch
-// instead of one per op) and rack choice (one planned-aggregate
-// partition pass instead of a per-request rack scan) — and plans
-// independent rack shards on parallel workers.
-// The per-request path runs the same compute-claim and attach bodies,
-// so the ratio measures those amortizations alone; teardown between
-// iterations is excluded from the timing.
+// per request). Both place compute identically: the batch's partition
+// runs the per-request rack choice for every request, in request order.
+// The batch path amortizes what the per-request path repays per call —
+// policy descents (pick caching under the packing policies) and
+// index-leaf refreshes (one per touched brick per batch instead of one
+// per op) — and attaches on independent rack shards on parallel
+// workers. The per-request path runs the same compute-claim and attach
+// bodies, so the ratio measures those amortizations alone; teardown
+// between iterations is excluded from the timing.
 //
 // Iterations churn: teardown is a batched evict whose epilogue drains
 // the retired attachments, circuits and segments into the per-rack

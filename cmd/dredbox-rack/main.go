@@ -445,10 +445,10 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 	fmt.Printf("row spills so far: %d; row cross circuits: %d\n\n", spills, row.Fabric().CrossCircuits())
 
 	if burst > 0 {
-		// Group-commit admission one tier up: the row partitions the
-		// burst by pod over the planned-adjusted aggregates, plans each
-		// pod shard in parallel, and merges the rack -> pod -> row spill
-		// cascade in request order.
+		// Group-commit admission one tier up: the row claims every VM's
+		// compute in request order, exactly as per request, attaches
+		// each pod shard in parallel, and merges the rack -> pod -> row
+		// spill cascade in request order.
 		src, err := workload.NewBurstSource(workload.HalfHalf, seed, burst, 0)
 		if err != nil {
 			fail(err)

@@ -190,14 +190,15 @@ type VMCreate struct {
 }
 
 // CreateVMs boots a burst of VMs through the pod scheduler's batched
-// group-commit admission: the whole burst is partitioned across rack
-// shards by the O(1) rack-choice aggregates, planned in parallel on up
-// to workers goroutines (<= 0 meaning GOMAXPROCS) and group-committed
-// with one index refresh per touched brick — the result is
-// byte-identical at any worker count, and a batch of one reproduces
-// CreateVM (plus ScaleUpVM for a bundled Remote) exactly. Admission is
-// all-or-nothing: if any VM cannot be placed, nothing is admitted.
-// The clock advances past the whole group's completion.
+// group-commit admission: every VM's compute is claimed in request
+// order, exactly where the sequential pod placement puts it, and the
+// burst is partitioned across rack shards by where it landed, attached
+// in parallel on up to workers goroutines (<= 0 meaning GOMAXPROCS) and
+// group-committed with one index refresh per touched brick — the
+// result is byte-identical at any worker count, and a batch of one
+// reproduces CreateVM (plus ScaleUpVM for a bundled Remote) exactly.
+// Admission is all-or-nothing: if any VM cannot be placed, nothing is
+// admitted. The clock advances past the whole group's completion.
 func (p *Pod) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {
 	seen := make(map[string]bool, len(reqs))
 	areqs := make([]sdm.AdmitRequest, len(reqs))

@@ -197,12 +197,14 @@ func (r *Row) CreateVM(id string, vcpus int, memory brick.Bytes) (scaleup.Result
 }
 
 // CreateVMs boots a burst of VMs through the row scheduler's batched
-// group-commit admission: the burst is partitioned across pod shards
-// by the O(1) pod-choice aggregates, each shard planned on a worker
-// goroutine (<= 0 meaning GOMAXPROCS) with the pod's own rack-sharded
-// batch engine, and the rack→pod→row spill cascade merged in request
-// order — the result is byte-identical at any worker count, and a
-// batch of one reproduces the sequential row placement exactly.
+// group-commit admission: every VM's compute is claimed in request
+// order, exactly where the sequential row placement puts it, and the
+// burst is partitioned across pod shards by where it landed; each
+// shard attaches on a worker goroutine (<= 0 meaning GOMAXPROCS) with
+// the pod's own rack-sharded batch engine, and the rack→pod→row spill
+// cascade is merged in request order — the result is byte-identical at
+// any worker count, and a batch of one reproduces the sequential row
+// path exactly.
 // Admission is all-or-nothing: if any VM cannot be placed, nothing is
 // admitted. The clock advances past the whole group's completion.
 func (r *Row) CreateVMs(reqs []VMCreate, workers int) ([]scaleup.Result, error) {

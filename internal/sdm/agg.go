@@ -1,8 +1,10 @@
 package sdm
 
 // Hierarchical aggregates for the row tier. A podAgg is one pod's own
-// cached summary — free cores, free memory, max memory gap, and the
-// per-power-state brick census — rolled up from the rack index roots;
+// cached summary — free cores, free memory, max memory gap, the
+// per-power-state maxima of free cores and free local memory on one
+// compute brick, and the per-power-state brick census — rolled up from
+// the rack index roots;
 // it is how a pod answers its row the O(1) questions a rack answers
 // its pod (the child contract in tier.go). The pod installs it when it
 // joins a row (PodScheduler.agg), and each of its rack Controllers
@@ -15,13 +17,14 @@ package sdm
 // of the pod summary, pod summaries are the leaves of the row's pick
 // loop.
 //
-// The max gap is the one aggregate that is not a sum. It is maintained
-// with a lazy maximum: a rack raising its gap updates the cached pod
-// max immediately; a rack lowering the gap that *was* the max marks
-// the summary dirty, and the next MaxGap() call recomputes the max
-// over the cached per-rack gaps — O(racks) off the hot pick loop,
-// amortized O(1) because a recompute only follows a shrink of the
-// current maximum.
+// The maxima are maintained lazily: a rack raising a value updates the
+// cached pod max immediately; a rack lowering the value that *was* the
+// max marks that max stale, and the next read recomputes it over the
+// cached per-rack values — O(racks) off the hot pick loop, amortized
+// O(1) because a recompute only follows a shrink of the current
+// maximum. The compute maxima are the pod's compute screen: like a rack
+// root's, they may come from different bricks, so true needs a
+// confirming pick and false is exact.
 //
 // Aggregates are only installed in indexed-scan mode: under ScanLinear
 // the touch hooks return before notifying (faithful to the baseline's
@@ -41,12 +44,12 @@ type podAgg struct {
 	// Cached per-rack contributions, replaced wholesale on notify.
 	rackCores []int64
 	rackMem   []int64
-	rackGap   []brick.Bytes
+	rackMax   [][nMax]int64
 
-	// maxGap caches the pod-wide largest memory gap; gapDirty marks it
-	// for recomputation after the maximal rack's gap shrank.
-	maxGap   brick.Bytes
-	gapDirty bool
+	// max caches the pod-wide maxima over rackMax; stale marks one for
+	// recomputation after the maximal rack's value shrank.
+	max   [nMax]int64
+	stale [nMax]bool
 
 	// Census sums per power state, split by brick kind to mirror
 	// Census(kind) one tier down.
@@ -57,6 +60,27 @@ type podAgg struct {
 	rackMemCensus [][nStates]int32
 }
 
+// The lazily maximized quantities: the largest memory gap, then per
+// power state the largest free-core count and the largest free local
+// memory on one compute brick (-1 for a state no brick is in).
+const (
+	maxGapQ   = 0
+	maxCoresQ = 1
+	maxLocalQ = maxCoresQ + nStates
+	nMax      = maxLocalQ + nStates
+)
+
+// rackMaxima reads rack r's values of the lazily maximized quantities
+// off its index roots.
+func rackMaxima(r *Controller) [nMax]int64 {
+	var q [nMax]int64
+	q[maxGapQ] = r.memIdx.maxFitAAny()
+	a, b := r.cpuIdx.rootMaxFit()
+	copy(q[maxCoresQ:], a[:])
+	copy(q[maxLocalQ:], b[:])
+	return q
+}
+
 // newPodAgg builds the summary over a pod's racks and installs the
 // back-pointers that keep it current.
 func newPodAgg(racks []*Controller) *podAgg {
@@ -64,7 +88,7 @@ func newPodAgg(racks []*Controller) *podAgg {
 		racks:         racks,
 		rackCores:     make([]int64, len(racks)),
 		rackMem:       make([]int64, len(racks)),
-		rackGap:       make([]brick.Bytes, len(racks)),
+		rackMax:       make([][nMax]int64, len(racks)),
 		rackCPUCensus: make([][nStates]int32, len(racks)),
 		rackMemCensus: make([][nStates]int32, len(racks)),
 	}
@@ -89,18 +113,20 @@ func (g *podAgg) notify(slot int) {
 	g.freeMem += mem - g.rackMem[slot]
 	g.rackMem[slot] = mem
 
-	// maxGap invariant: when clean it is the exact maximum over rackGap;
-	// when dirty it is an upper bound (set when the maximal rack shrank).
-	// A gap reaching the bound is therefore the new exact maximum either
-	// way; a gap dropping from the bound dirties it.
-	gap := brick.Bytes(r.memIdx.maxFitAAny())
-	old := g.rackGap[slot]
-	g.rackGap[slot] = gap
-	if gap >= g.maxGap {
-		g.maxGap, g.gapDirty = gap, false
-	} else if old == g.maxGap {
-		g.gapDirty = true
+	// Max invariant: when clean a max is the exact maximum over rackMax;
+	// when stale it is an upper bound (set when the maximal rack shrank).
+	// A value reaching the bound is therefore the new exact maximum
+	// either way; a value dropping from the bound makes it stale.
+	q := rackMaxima(r)
+	old := &g.rackMax[slot]
+	for j, v := range q {
+		if v >= g.max[j] {
+			g.max[j], g.stale[j] = v, false
+		} else if old[j] == g.max[j] {
+			g.stale[j] = true
+		}
 	}
+	*old = q
 
 	cc := r.cpuIdx.stateCounts()
 	mc := r.memIdx.stateCounts()
@@ -118,19 +144,31 @@ func (g *podAgg) FreeCores() int64 { return g.freeCores }
 // FreeMemory returns the pod's cached free-byte sum over memory bricks.
 func (g *podAgg) FreeMemory() brick.Bytes { return brick.Bytes(g.freeMem) }
 
-// MaxGap returns the pod's largest contiguous memory gap, recomputing
-// over the cached per-rack gaps only after the maximal rack shrank.
-func (g *podAgg) MaxGap() brick.Bytes {
-	if g.gapDirty {
-		var m brick.Bytes
-		for _, gap := range g.rackGap {
-			if gap > m {
-				m = gap
-			}
+// maxOf returns pod max j, recomputing it over the cached per-rack
+// values only after the maximal rack's value shrank.
+func (g *podAgg) maxOf(j int) int64 {
+	if g.stale[j] {
+		m := int64(-1)
+		for i := range g.rackMax {
+			m = max(m, g.rackMax[i][j])
 		}
-		g.maxGap, g.gapDirty = m, false
+		g.max[j], g.stale[j] = m, false
 	}
-	return g.maxGap
+	return g.max[j]
+}
+
+// MaxGap returns the pod's largest contiguous memory gap.
+func (g *podAgg) MaxGap() brick.Bytes { return brick.Bytes(g.maxOf(maxGapQ)) }
+
+// canPlaceCompute reports whether some power state's maxima admit
+// vcpus free cores and localMem free local memory.
+func (g *podAgg) canPlaceCompute(vcpus, localMem int64) bool {
+	for st := 0; st < nStates; st++ {
+		if g.maxOf(maxCoresQ+st) >= vcpus && g.maxOf(maxLocalQ+st) >= localMem {
+			return true
+		}
+	}
+	return false
 }
 
 // notifyAgg folds this rack's current index roots into the pod summary

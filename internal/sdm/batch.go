@@ -33,8 +33,10 @@ package sdm
 // byte-identical to the per-request path: cache hits return what a
 // fresh descent would return (the invariant above), and cache misses
 // flush the dirty leaves first so the descent runs on an exact tree. A
-// batch of size 1 therefore reproduces the sequential ReserveCompute +
-// AttachRemoteMemory results bit for bit.
+// rack's PlaceBatch therefore reproduces the sequential ReserveCompute +
+// AttachRemoteMemory results bit for bit. Under a pod or row the tier's
+// partition claims the compute through the same planner (claimIn), in
+// request order, and the rack wave only attaches (admitOne).
 
 import (
 	"errors"
@@ -66,6 +68,12 @@ type AdmitRequest struct {
 	Rack int
 	// Pod names CPU's pod at the row tier; lower tiers ignore it.
 	Pod int
+
+	// claimed marks a compute part a tier's partition already reserved
+	// at (Pod, Rack, CPU), at control-plane latency claimLat: the
+	// request routes by location and its rack only attaches.
+	claimed  bool
+	claimLat sim.Duration
 }
 
 // AdmitResult is one admission's outcome.
@@ -291,11 +299,14 @@ func (c *Controller) placeBatch(reqs []AdmitRequest, out []AdmitResult, pod bool
 	c.endBatch()
 }
 
-// admitOne serves one request of a batch.
+// admitOne serves one request of a batch; a claimed request only
+// attaches.
 func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 	*res = AdmitResult{}
 	cpu := req.CPU
-	if req.VCPUs > 0 {
+	if req.claimed {
+		res.CPU, res.ComputeLat, res.computeDone = cpu, req.claimLat, true
+	} else if req.VCPUs > 0 {
 		id, lat, err := c.reserveCompute(req.VCPUs, req.LocalMem, true)
 		if err != nil {
 			res.Err = err

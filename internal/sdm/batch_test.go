@@ -313,23 +313,17 @@ func TestAdmitBatchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // indexValueSnap captures one placement index's scheduler-visible state
-// — tree nodes plus leaf capacity vectors, epochs excluded (a rolled
-// back batch re-reads bricks, which re-stamps epochs without changing
-// any answer the scheduler reads).
+// — tree nodes plus leaf capacity vectors.
 type indexValueSnap struct {
 	stats []pstat
 	tree  []node
 }
 
 func snapIndex(idx *placementIndex) indexValueSnap {
-	s := indexValueSnap{
+	return indexValueSnap{
 		stats: append([]pstat(nil), idx.stats...),
 		tree:  append([]node(nil), idx.tree...),
 	}
-	for i := range s.stats {
-		s.stats[i].epoch = 0
-	}
-	return s
 }
 
 // podBatchSnap captures everything the rollback contract promises to
@@ -441,14 +435,25 @@ func TestAdmitBatchRollbackRestoresState(t *testing.T) {
 					reqs[i].Owner = fmt.Sprintf("t%d-%s", trial, reqs[i].Owner)
 				}
 				// Poison one request with a segment no brick in the pod
-				// can hold.
+				// can hold or, every other trial, with more cores than
+				// any brick has (it fails in the partition, after the
+				// requests before it claimed their compute).
 				poison := int(rng.Uint64() % uint64(len(reqs)))
 				reqs[poison].Remote = 64 * brick.GiB
 				if reqs[poison].VCPUs == 0 {
 					reqs[poison] = AdmitRequest{Owner: reqs[poison].Owner, VCPUs: 1, Remote: 64 * brick.GiB}
 				}
-				if _, err := s.AdmitBatch(reqs, 1+int(rng.Uint64()%3)); err == nil {
+				if trial%2 == 1 {
+					reqs[poison] = AdmitRequest{Owner: reqs[poison].Owner, VCPUs: 64, LocalMem: brick.GiB}
+				}
+				_, err := s.AdmitBatch(reqs, 1+int(rng.Uint64()%3))
+				if err == nil {
 					t.Fatalf("trial %d: poisoned batch committed", trial)
+				}
+				// The abort names the first failure in request order.
+				var at int
+				if _, serr := fmt.Sscanf(err.Error(), "sdm: batch admission rolled back at request %d", &at); serr != nil || at > poison {
+					t.Fatalf("trial %d: poison at %d, abort: %v", trial, poison, err)
 				}
 				after := snapPodBatch(s)
 				comparePodBatchSnap(t, trial, before, after)

@@ -20,8 +20,9 @@ package sdm
 //
 // Leaves refresh at the single choke point every mutation already flows
 // through — the lifecycle engine's commit/rollback plus the handful of
-// direct reservation paths — and carry the brick's change epoch so a
-// refresh of an untouched brick is a no-op comparison. The root's
+// direct reservation paths — and a refresh that leaves the capacity
+// vector as it was (an untouched brick, or a compute brick whose only
+// change was a transceiver port) is a no-op comparison. The root's
 // aggregates (rank sum, per-state maxima) are what the pod tier reads
 // to make rack choice O(racks) arithmetic with no nested brick scans.
 
@@ -45,8 +46,6 @@ type pstat struct {
 	// rank orders the spread policy: free cores for compute bricks,
 	// total free bytes for memory bricks.
 	rank int64
-	// epoch is the brick change epoch this vector was read at.
-	epoch uint64
 }
 
 // node is one inner segment-tree node: per-power-state maxima of the
@@ -158,9 +157,9 @@ func (t *placementIndex) rebuild() {
 	}
 }
 
-// touch re-reads the brick at one order position and, if its epoch
-// moved, updates the leaf and its root path — the O(log n) maintenance
-// step run at every mutation choke point.
+// touch re-reads the brick at one order position and, if its capacity
+// vector moved, updates the leaf and its root path — the O(log n)
+// maintenance step run at every mutation choke point.
 func (t *placementIndex) touch(pos int) {
 	if pos < 0 || pos >= t.n {
 		return
@@ -345,6 +344,18 @@ func (t *placementIndex) maxFitAAny() int64 {
 	return m
 }
 
+// rootMaxFit returns the per-power-state maxima of both fitness
+// dimensions over all bricks (-1 for an empty state), read at the root.
+func (t *placementIndex) rootMaxFit() (a, b [nStates]int64) {
+	if t.n == 0 {
+		for st := range a {
+			a[st], b[st] = -1, -1
+		}
+		return a, b
+	}
+	return t.tree[1].maxFitA, t.tree[1].maxFitB
+}
+
 // canFit reports whether some brick may satisfy both thresholds — the
 // O(1) root check the pod tier uses to skip infeasible racks before
 // asking for an exact pick. Conservative in the same way fitsAny is.
@@ -383,7 +394,6 @@ func (c *Controller) computeStat(pos int) pstat {
 		fitA:  int64(b.FreeCores()),
 		fitB:  int64(b.LocalMemory - b.UsedLocal()),
 		rank:  int64(b.FreeCores()),
-		epoch: b.Epoch(),
 	}
 }
 
@@ -396,7 +406,6 @@ func (c *Controller) memoryStat(pos int) pstat {
 		fitA:  int64(m.LargestGap()),
 		fitB:  int64(m.Ports.Free()),
 		rank:  int64(m.Free()),
-		epoch: m.Epoch(),
 	}
 }
 

@@ -244,21 +244,28 @@ func (c *Controller) checkAttachments(where string, p, ri int, owned map[*crossT
 }
 
 // check compares a pod summary against an exact recompute from its
-// rack roots: the sums, the per-rack contributions, the censuses, and
-// the max gap (exact when clean, an upper bound while dirty).
+// rack roots: the sums, the per-rack contributions (the compute roots'
+// per-state maxima among them), the censuses, and every max (exact
+// when clean, an upper bound while stale).
 func (g *podAgg) check(p int) error {
 	var cores, mem int64
-	var gap brick.Bytes
+	var top [nMax]int64
+	for j := range top {
+		top[j] = -1
+	}
 	var cc, mc [nStates]int32
 	for slot, r := range g.racks {
 		rc, rm := r.cpuIdx.rankSum(), r.memIdx.rankSum()
-		rg := brick.Bytes(r.memIdx.maxFitAAny())
-		if g.rackCores[slot] != rc || g.rackMem[slot] != rm || g.rackGap[slot] != rg {
+		if g.rackCores[slot] != rc || g.rackMem[slot] != rm {
 			return fmt.Errorf("pod %d: rack %d summary slot diverged from its index roots", p, slot)
 		}
+		q := rackMaxima(r)
+		if g.rackMax[slot] != q {
+			return fmt.Errorf("pod %d: rack %d cached maxima %v diverged from its index roots %v", p, slot, g.rackMax[slot], q)
+		}
 		cores, mem = cores+rc, mem+rm
-		if rg > gap {
-			gap = rg
+		for j, v := range q {
+			top[j] = max(top[j], v)
 		}
 		c, m := r.cpuIdx.stateCounts(), r.memIdx.stateCounts()
 		if g.rackCPUCensus[slot] != c || g.rackMemCensus[slot] != m {
@@ -275,8 +282,10 @@ func (g *podAgg) check(p int) error {
 	if g.freeMem != mem {
 		return fmt.Errorf("pod %d: summary says %d free bytes, recompute says %d", p, g.freeMem, mem)
 	}
-	if g.maxGap < gap || (!g.gapDirty && g.maxGap != gap) {
-		return fmt.Errorf("pod %d: summary says %v max gap (dirty=%v), recompute says %v", p, g.maxGap, g.gapDirty, gap)
+	for j, v := range top {
+		if g.max[j] < v || (!g.stale[j] && g.max[j] != v) {
+			return fmt.Errorf("pod %d: summary max %d says %d (stale=%v), recompute says %d", p, j, g.max[j], g.stale[j], v)
+		}
 	}
 	if g.cpuCensus != cc || g.memCensus != mc {
 		return fmt.Errorf("pod %d: summary census diverged from recompute", p)

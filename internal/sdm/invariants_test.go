@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/brick"
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // TestCheckInvariantsCatchesCrossHostCorruption: the pod packet
@@ -73,5 +75,97 @@ func TestRowCheckInvariants(t *testing.T) {
 	s.Pod(1).agg.freeCores++
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("drifted pod free-core summary went unnoticed")
+	}
+}
+
+// TestCheckInvariantsCatchesPodScreenCorruption: the row's pod compute
+// screen reads the pod summary's cached per-rack compute maxima and the
+// pod maxima over them, so the checker must notice either drifting
+// from the rack roots.
+func TestCheckInvariantsCatchesPodScreenCorruption(t *testing.T) {
+	s := buildRowSched(t, 2, 2, 2*brick.GiB, DefaultConfig)
+	if _, _, err := s.ReserveCompute("vm", 1, brick.GiB); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("clean row: %v", err)
+	}
+	g := s.Pod(0).agg
+	active := int(brick.PowerActive)
+	for _, j := range []int{maxCoresQ + active, maxLocalQ + active} {
+		g.rackMax[0][j]++
+		if err := s.CheckInvariants(); err == nil {
+			t.Fatalf("drifted cached rack maximum %d went unnoticed", j)
+		}
+		g.rackMax[0][j]--
+		g.max[j]--
+		if err := s.CheckInvariants(); err == nil {
+			t.Fatalf("pod maximum %d below its racks went unnoticed", j)
+		}
+		g.max[j] += 2
+		if err := s.CheckInvariants(); err == nil {
+			t.Fatalf("clean pod maximum %d above its racks went unnoticed", j)
+		}
+		g.stale[j] = true
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("a stale maximum may over-estimate: %v", err)
+		}
+		if got := g.maxOf(j); got != g.rackMax[0][j] && got != g.rackMax[1][j] {
+			t.Fatalf("stale maximum %d recomputed to %d", j, got)
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("restored row: %v", err)
+	}
+}
+
+// TestPodComputeScreenSound: over random churn, a pod's compute screen
+// never rejects a request its confirming pick would place — false
+// means no brick in the pod fits — and it does reject some.
+func TestPodComputeScreenSound(t *testing.T) {
+	for _, policy := range []Policy{PolicyPowerAware, PolicyFirstFit, PolicySpread} {
+		s := buildSeqRow(t, policy)
+		rng := sim.NewRand(5)
+		type vm struct {
+			cpu   topo.RowBrickID
+			vcpus int
+			local brick.Bytes
+		}
+		var live []vm
+		rejected := 0
+		for op := 0; op < 1500; op++ {
+			if len(live) > 0 && rng.Intn(10) < 3 {
+				k := rng.Intn(len(live))
+				if err := s.ReleaseCompute(live[k].cpu, live[k].vcpus, live[k].local); err != nil {
+					t.Fatal(err)
+				}
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			} else {
+				v, m := 1+rng.Intn(3), brick.Bytes(1+rng.Intn(3))*brick.GiB
+				if cpu, _, err := s.ReserveCompute("", v, m); err == nil {
+					live = append(live, vm{cpu, v, m})
+				}
+			}
+			for p, ps := range s.pods {
+				for v := 1; v <= 4; v++ {
+					for m := brick.Bytes(0); m <= 4*brick.GiB; m += brick.GiB {
+						if ps.canPlaceCompute(v, m) {
+							continue
+						}
+						rejected++
+						if loc, ok := ps.pickComputeIn(v, m, false); ok {
+							t.Fatalf("%v op %d: pod %d screen rejects (%d, %v), but %v fits", policy, op, p, v, m, loc)
+						}
+					}
+				}
+			}
+		}
+		if rejected == 0 {
+			t.Fatalf("%v: the screen never rejected a request", policy)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

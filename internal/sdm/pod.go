@@ -121,19 +121,21 @@ func (s *PodScheduler) Fabric() *optical.PodFabric { return s.fabric }
 // PickComputeRack applies the placement policy to rack choice for a
 // compute reservation, without reserving anything.
 func (s *PodScheduler) PickComputeRack(vcpus int, localMem brick.Bytes) (int, bool) {
-	return s.pickCompute(vcpus, localMem, -1)
+	k, _, ok := s.pickCompute(vcpus, localMem, -1, false)
+	return k, ok
 }
 
 // PickComputeRackExcept is PickComputeRack with one rack excluded —
 // used by cross-rack VM migration.
 func (s *PodScheduler) PickComputeRackExcept(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
-	return s.pickCompute(vcpus, localMem, exclude)
+	k, _, ok := s.pickCompute(vcpus, localMem, exclude, false)
+	return k, ok
 }
 
 // ReserveCompute places a compute reservation pod-wide: the policy
 // picks a rack, the rack's controller picks the brick.
 func (s *PodScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.PodBrickID, sim.Duration, error) {
-	id, lat, err := s.reserve(owner, vcpus, localMem)
+	id, lat, err := s.reserve(vcpus, localMem, false)
 	return topo.PodBrickID{Rack: id.Rack, Brick: id.Brick}, lat, err
 }
 
@@ -187,15 +189,24 @@ func (s *PodScheduler) maxGap() brick.Bytes {
 	return max
 }
 
-// canPlaceCompute screens on the free-core sum: no brick can offer more
-// cores than the pod holds in total. canPlaceMemory's max gap is exact.
-func (s *PodScheduler) canPlaceCompute(vcpus int, _ brick.Bytes) bool {
-	return s.freeCores() >= int64(vcpus)
+// canPlaceCompute screens on the summary's per-state maxima of free
+// cores and free local memory over the rack compute roots: false means
+// no brick in the pod fits. canPlaceMemory's max gap is exact.
+func (s *PodScheduler) canPlaceCompute(vcpus int, localMem brick.Bytes) bool {
+	if s.agg != nil {
+		return s.agg.canPlaceCompute(int64(vcpus), int64(localMem))
+	}
+	for _, r := range s.racks {
+		if r.CanPlaceCompute(vcpus, localMem) {
+			return true
+		}
+	}
+	return false
 }
 func (s *PodScheduler) canPlaceMemory(size brick.Bytes) bool { return s.maxGap() >= size }
-func (s *PodScheduler) fitsCompute(vcpus int, localMem brick.Bytes) bool {
-	_, ok := s.pickCompute(vcpus, localMem, -1)
-	return ok
+func (s *PodScheduler) pickComputeIn(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, bool) {
+	_, loc, ok := s.pickCompute(vcpus, localMem, -1, cached)
+	return loc, ok
 }
 func (s *PodScheduler) fitsMemory(size brick.Bytes) bool {
 	_, ok := s.pickMemory(size, -1)
@@ -210,9 +221,11 @@ func (s *PodScheduler) pickMem(size brick.Bytes, _ int) (memPick, bool) {
 }
 func (s *PodScheduler) rackAt(i int) *Controller { return s.racks[i] }
 func (s *PodScheduler) hasRack(i int) bool       { return i >= 0 && i < len(s.racks) }
-func (s *PodScheduler) reserveIn(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
-	return s.reserve(owner, vcpus, localMem)
+func (s *PodScheduler) claimIn(loc topo.RowBrickID, vcpus int, localMem brick.Bytes, cached bool) (sim.Duration, error) {
+	s.requests++
+	return s.claim(loc.Rack, loc, vcpus, localMem, cached)
 }
+
 func (s *PodScheduler) releaseIn(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
 	return s.releaseAt(id, vcpus, localMem)
 }
@@ -256,9 +269,9 @@ func (s *PodScheduler) link(ra, rb int) connector {
 	return t
 }
 
-// admitWaves runs every rack's admission sub-batch — plan *and*
-// commit — on its own worker; evictWaves runs every rack's teardown
-// sub-batch.
+// admitWaves runs every rack's admission sub-batch — the attaches of
+// the computes the partition claimed — on its own worker; evictWaves
+// runs every rack's teardown sub-batch.
 func (s *PodScheduler) admitWaves(workers int) { s.fo.each(workers, len(s.admit.active), s.admitWave) }
 func (s *PodScheduler) evictWaves(workers int) { s.fo.each(workers, len(s.evict.active), s.evictWave) }
 

@@ -32,7 +32,7 @@ import (
 //     from the same compute brick.
 //
 // Row-specific are the row switch (crossLink), the batch engines' wave
-// sequence (a pod plan wave, one flat (pod, rack) commit wave, a pod
+// sequence (a pod routing wave, one flat (pod, rack) commit wave, a pod
 // merge wave) and the AggCensus fast path.
 type RowScheduler struct {
 	tier[*PodScheduler]
@@ -161,7 +161,7 @@ func (s *RowScheduler) PodMaxGap(i int) brick.Bytes { return s.pods[i].maxGap() 
 // ReserveCompute places a compute reservation row-wide: the policy
 // picks a pod, the pod's scheduler picks the rack and brick.
 func (s *RowScheduler) ReserveCompute(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
-	return s.reserve(owner, vcpus, localMem)
+	return s.reserve(vcpus, localMem, false)
 }
 
 // ReleaseCompute returns cores and local memory to a brick.
@@ -223,12 +223,13 @@ func (s *RowScheduler) crossLink(cpu, mem topo.RowBrickID) connector {
 	return t
 }
 
-// admitWaves runs a row admission's waves: 2a partitions each pod's
-// sub-batch across its racks (one worker per pod); 2b is the flat
-// commit wave, where every (pod, rack) shard across the row plans *and
-// commits* on its own worker, so a row of many lightly loaded pods
-// still keeps every worker busy; 2c gathers each pod's rack shards and
-// runs the pod's rack→pod spill cascade (one worker per pod again).
+// admitWaves runs a row admission's waves: 2a routes each pod's
+// sub-batch to its racks by the locations the row's partition claimed
+// (one worker per pod); 2b is the flat commit wave, where every (pod,
+// rack) shard across the row attaches on its own worker, so a row of
+// many lightly loaded pods still keeps every worker busy; 2c gathers
+// each pod's rack shards and runs the pod's cross-rack spills (one
+// worker per pod again).
 func (s *RowScheduler) admitWaves(workers int) {
 	a := &s.admit
 	s.fo.each(workers, len(a.active), s.admitPlanWave)

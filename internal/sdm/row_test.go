@@ -291,6 +291,23 @@ func TestRowEvictBatchRollsBack(t *testing.T) {
 	if _, err := s.DetachRemoteMemory(attsB[0]); err != nil {
 		t.Fatal(err)
 	}
+	// A batch committed on a rack the failing batch never reaches leaves
+	// that rack's journal full: the rollback must not replay it.
+	rackC := s.Pod(1).Rack(1)
+	cpuC := topo.RowBrickID{Pod: 1, Rack: 1, Brick: rackC.computeOrder[0]}
+	attC, _, err := s.AttachRemoteMemory("vm-c", cpuC, brick.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attC.CrossRack() || attC.CrossPod() {
+		t.Fatal("setup: want a rack-local attachment")
+	}
+	if _, err := s.EvictBatch([]EvictRequest{{Owner: "vm-c", CPU: cpuC.Brick, Rack: 1, Pod: 1, Atts: []*Attachment{attC}}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(rackC.undoLog) == 0 {
+		t.Fatal("setup: want the committed batch's journal left on its rack")
+	}
 	before := rowFingerprint(t, s, false)
 
 	reqs := []EvictRequest{
@@ -304,6 +321,9 @@ func TestRowEvictBatchRollsBack(t *testing.T) {
 	}
 	if after := rowFingerprint(t, s, false); after != before {
 		t.Fatalf("rollback is not exact:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if atts := s.Attachments("vm-c"); atts != nil {
+		t.Fatalf("rollback replayed a committed batch's journal: vm-c holds %d attachments", len(atts))
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("after rollback: %v", err)

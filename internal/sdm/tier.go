@@ -22,6 +22,7 @@ package sdm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/brick"
 	"repro/internal/sim"
@@ -38,7 +39,11 @@ type child interface {
 	maxGap() brick.Bytes
 	canPlaceCompute(vcpus int, localMem brick.Bytes) bool
 	canPlaceMemory(size brick.Bytes) bool
-	fitsCompute(vcpus int, localMem brick.Bytes) bool
+	// pickComputeIn is the confirming compute pick: the brick the
+	// child's own policy would reserve, addressed below this tier.
+	// cached serves rack picks from the batch pick cache of racks a
+	// partition has claimed on.
+	pickComputeIn(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, bool)
 	fitsMemory(size brick.Bytes) bool
 	// pickMem selects the memory end of a spill landing on this child,
 	// which sits at index self in its tier.
@@ -48,7 +53,10 @@ type child interface {
 	rackAt(i int) *Controller
 	hasRack(i int) bool
 
-	reserveIn(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error)
+	// claimIn reserves the cores and local memory at loc, which the
+	// child's confirming pick returned, counting the request at every
+	// tier on the way down.
+	claimIn(loc topo.RowBrickID, vcpus int, localMem brick.Bytes, cached bool) (sim.Duration, error)
 	releaseIn(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error
 	attachIn(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error)
 	// doom mirrors the counters of an attach the parent's doom screen
@@ -67,7 +75,6 @@ type child interface {
 	beginAdmit()
 	endAdmit()
 	abortAdmit()
-	resetJournals()
 	rollbackEvict(cause error) error
 }
 
@@ -137,14 +144,6 @@ func (t *tier[C]) stampKids(att *Attachment, cpuKid, memKid int) {
 	}
 }
 
-// setLoc records the compute brick a batch result landed on.
-func (t *tier[C]) setLoc(res *AdmitResult, l topo.RowBrickID) {
-	res.CPU, res.Rack = l.Brick, l.Rack
-	if t.lvl > 0 {
-		res.Pod = l.Pod
-	}
-}
-
 // idOf is l as the tier's exported ID type, for error texts.
 func (t *tier[C]) idOf(l topo.RowBrickID) fmt.Stringer {
 	if t.lvl == 0 {
@@ -189,46 +188,70 @@ func (t *tier[C]) Stats() (requests, failures, spills uint64) {
 }
 
 // pickCompute applies the placement policy to child choice for a
-// compute reservation, never returning exclude. Indexed choice is
+// compute reservation, never returning exclude. It returns the child
+// and the brick its confirming pick found there. Indexed choice is
 // O(children) arithmetic: each child's O(1) screens, and one confirming
 // pick for the child that could actually win. Under ScanLinear every
 // child runs a full pick per probe — the pre-index nested scan.
-func (t *tier[C]) pickCompute(vcpus int, localMem brick.Bytes, exclude int) (int, bool) {
+func (t *tier[C]) pickCompute(vcpus int, localMem brick.Bytes, exclude int, cached bool) (int, topo.RowBrickID, bool) {
 	linear := t.cfg.Scan == ScanLinear
-	if t.cfg.Policy == PolicySpread {
-		best, bestFree, found := -1, int64(-1), false
+	best, found := -1, false
+	var loc topo.RowBrickID
+	if t.cfg.Policy == PolicySpread && linear {
+		bestFree := int64(-1)
 		for i, k := range t.kids {
 			if i == exclude {
 				continue
 			}
-			if linear {
-				if k.fitsCompute(vcpus, localMem) {
-					if free := k.freeCores(); free > bestFree {
-						best, bestFree, found = i, free, true
-					}
+			if l, ok := k.pickComputeIn(vcpus, localMem, cached); ok {
+				if free := t.freeOf(i); free > bestFree {
+					best, bestFree, loc, found = i, free, l, true
 				}
+			}
+		}
+	} else if t.cfg.Policy == PolicySpread {
+		// The winner is the first child, in (most free cores, lowest
+		// index) order, that fits. Each round takes the next screened
+		// child in that order and confirms it, so a round's O(children)
+		// arithmetic usually buys the answer with one pick.
+		lastFree, last := int64(math.MaxInt64), -1
+		for !found {
+			best = -1
+			bestFree := int64(-1)
+			for i, k := range t.kids {
+				free := t.freeOf(i)
+				if i == exclude || free <= bestFree || free > lastFree || (free == lastFree && i <= last) ||
+					!k.canPlaceCompute(vcpus, localMem) {
+					continue
+				}
+				best, bestFree = i, free
+			}
+			if best < 0 {
+				break
+			}
+			loc, found = t.kids[best].pickComputeIn(vcpus, localMem, cached)
+			lastFree, last = bestFree, best
+		}
+	} else {
+		// Power-aware and first-fit pack children in index order.
+		for i, k := range t.kids {
+			if i == exclude || (!linear && !k.canPlaceCompute(vcpus, localMem)) {
 				continue
 			}
-			free := k.freeCores()
-			if free <= bestFree || !k.canPlaceCompute(vcpus, localMem) {
-				continue
-			}
-			if k.fitsCompute(vcpus, localMem) {
-				best, bestFree, found = i, free, true
+			if l, ok := k.pickComputeIn(vcpus, localMem, cached); ok {
+				best, loc, found = i, l, true
+				break
 			}
 		}
-		return best, found
 	}
-	// Power-aware and first-fit pack children in index order.
-	for i, k := range t.kids {
-		if i == exclude || (!linear && !k.canPlaceCompute(vcpus, localMem)) {
-			continue
-		}
-		if k.fitsCompute(vcpus, localMem) {
-			return i, true
+	if found {
+		if t.lvl == 0 {
+			loc.Rack = best
+		} else {
+			loc.Pod = best
 		}
 	}
-	return -1, false
+	return best, loc, found
 }
 
 // pickMemory applies the placement policy to the child choice of a
@@ -272,72 +295,63 @@ func (t *tier[C]) pickMemory(size brick.Bytes, home int) (int, bool) {
 	return -1, false
 }
 
-// pickComputePlanned is child choice over room, each child's pre-batch
-// free cores less the cores the batch already planned onto it —
-// O(children) arithmetic with no confirming pick (a mis-estimate
-// surfaces as a leftover and is re-placed against committed state in
-// the merge).
-func (t *tier[C]) pickComputePlanned(vcpus int, localMem brick.Bytes, room []int64) int {
-	if t.cfg.Policy == PolicySpread {
-		best, bestFree := -1, int64(-1)
-		for i, k := range t.kids {
-			free := room[i]
-			if free < int64(vcpus) || free <= bestFree || !k.canPlaceCompute(vcpus, localMem) {
-				continue
-			}
-			best, bestFree = i, free
-		}
-		return best
-	}
-	for i, k := range t.kids {
-		if room[i] >= int64(vcpus) && k.canPlaceCompute(vcpus, localMem) {
-			return i
-		}
-	}
-	return -1
-}
-
-// partitionStep runs one request through the serial partition: the
-// full per-request child choice while nothing is planned yet (so a
-// batch of one reproduces the sequential path), the planned-adjusted
-// choice afterwards. It consumes from room on success and returns the
-// chosen child (-1 for a leftover).
-func (t *tier[C]) partitionStep(req *AdmitRequest, room []int64, plannedAny *bool) int {
-	var k int
-	if !*plannedAny {
-		var ok bool
-		if k, ok = t.pickCompute(req.VCPUs, req.LocalMem, -1); !ok {
-			return -1
-		}
-		*plannedAny = true
-	} else if k = t.pickComputePlanned(req.VCPUs, req.LocalMem, room); k < 0 {
-		return -1
-	}
-	room[k] -= int64(req.VCPUs)
-	return k
-}
-
 // reserve places a compute reservation tier-wide: the policy picks a
-// child, the child picks the brick.
-func (t *tier[C]) reserve(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
+// child, the child's confirming pick names the brick, and the claim
+// lands there — one descent per tier for the winning brick. cached is
+// set only by a batch partition (see claim).
+func (t *tier[C]) reserve(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, sim.Duration, error) {
 	t.requests++
-	k, ok := t.pickCompute(vcpus, localMem, -1)
+	k, loc, ok := t.pickCompute(vcpus, localMem, -1, cached)
 	if !ok {
 		t.failures++
 		n := tierNames[t.lvl]
 		return topo.RowBrickID{}, 0, fmt.Errorf("sdm: no %s in the %d-%s %s with %d free cores and %v local memory", n.kid, len(t.kids), n.kid, n.tier, vcpus, localMem)
 	}
-	id, lat, err := t.kids[k].reserveIn(owner, vcpus, localMem)
+	lat, err := t.claim(k, loc, vcpus, localMem, cached)
 	if err != nil {
-		t.failures++
 		return topo.RowBrickID{}, 0, err
 	}
-	if t.lvl == 0 {
-		id.Rack = k
-	} else {
-		id.Pod = k
+	return loc, lat, nil
+}
+
+// claim reserves the compute at loc in child k. Under a batch partition
+// (cached) the racks below defer their index refreshes and the tier's
+// screens read roots that lag behind the claims; admission only
+// consumes, so they over-estimate and stay sound, and spread ranks the
+// children by room — exact arithmetic — instead.
+func (t *tier[C]) claim(k int, loc topo.RowBrickID, vcpus int, localMem brick.Bytes, cached bool) (sim.Duration, error) {
+	sc := &t.admit
+	took := cached && t.cfg.Policy == PolicySpread && !sc.roomHeld
+	if took {
+		// The first claim at this tier in the partition: nothing below
+		// has deferred anything yet, so the children's answers are exact.
+		sc.room = sc.room[:0]
+		for _, c := range t.kids {
+			sc.room = append(sc.room, c.freeCores())
+		}
+		sc.roomHeld = true
 	}
-	return id, lat, nil
+	lat, err := t.kids[k].claimIn(loc, vcpus, localMem, cached)
+	if err != nil {
+		t.failures++
+		if took {
+			sc.roomHeld = false
+		}
+		return 0, err
+	}
+	if sc.roomHeld {
+		sc.room[k] -= int64(vcpus)
+	}
+	return lat, nil
+}
+
+// freeOf is child i's free cores: room while a partition holds it, the
+// child's own answer otherwise.
+func (t *tier[C]) freeOf(i int) int64 {
+	if t.admit.roomHeld {
+		return t.admit.room[i]
+	}
+	return t.kids[i].freeCores()
 }
 
 // releaseAt returns cores and local memory to a brick.
@@ -605,9 +619,15 @@ func (c *Controller) canPlaceCompute(vcpus int, localMem brick.Bytes) bool {
 	return c.CanPlaceCompute(vcpus, localMem)
 }
 func (c *Controller) canPlaceMemory(size brick.Bytes) bool { return c.CanPlaceMemory(size) }
-func (c *Controller) fitsCompute(vcpus int, localMem brick.Bytes) bool {
-	_, ok := c.pickCompute(vcpus, localMem)
-	return ok
+func (c *Controller) pickComputeIn(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, bool) {
+	var id topo.BrickID
+	var ok bool
+	if cached && c.batch != nil && c.batch.active {
+		id, ok = c.batchPickCompute(vcpus, localMem)
+	} else {
+		id, ok = c.pickCompute(vcpus, localMem)
+	}
+	return topo.RowBrickID{Brick: id}, ok
 }
 func (c *Controller) fitsMemory(size brick.Bytes) bool {
 	_, ok := c.pickMemory(size)
@@ -619,9 +639,27 @@ func (c *Controller) pickMem(size brick.Bytes, self int) (memPick, bool) {
 }
 func (c *Controller) rackAt(int) *Controller { return c }
 func (c *Controller) hasRack(int) bool       { return true }
-func (c *Controller) reserveIn(owner string, vcpus int, localMem brick.Bytes) (topo.RowBrickID, sim.Duration, error) {
-	id, lat, err := c.ReserveCompute(owner, vcpus, localMem)
-	return topo.RowBrickID{Brick: id}, lat, err
+
+// claimIn is the rack end of a tier's claim. A partition's first claim
+// on the rack opens batch mode, so the rest of the partition reads the
+// rack through its pick cache and deferred leaf refreshes; the rack's
+// attach shard, which every claimed rack runs, flushes them with its
+// own (placeBatch).
+func (c *Controller) claimIn(loc topo.RowBrickID, vcpus int, localMem brick.Bytes, cached bool) (sim.Duration, error) {
+	c.requests++
+	if vcpus <= 0 {
+		c.failures++
+		return 0, fmt.Errorf("sdm: reserve of %d vcpus", vcpus)
+	}
+	began := cached && (c.batch == nil || !c.batch.active)
+	if began {
+		c.beginBatch()
+	}
+	_, lat, err := c.claimCompute(loc.Brick, vcpus, localMem)
+	if err != nil && began {
+		c.endBatch()
+	}
+	return lat, err
 }
 func (c *Controller) releaseIn(id topo.RowBrickID, vcpus int, localMem brick.Bytes) error {
 	return c.ReleaseCompute(id.Brick, vcpus, localMem)
@@ -633,12 +671,12 @@ func (c *Controller) doom(topo.RowBrickID) {
 	c.requests++
 	c.failures++
 }
-func (c *Controller) beginAdmit()    { c.startBootLog() }
-func (c *Controller) endAdmit()      { c.stopBootLog() }
-func (c *Controller) abortAdmit()    { c.rollbackBoots() }
-func (c *Controller) resetJournals() { c.undoLog = c.undoLog[:0] }
+func (c *Controller) beginAdmit() { c.startBootLog() }
+func (c *Controller) endAdmit()   { c.stopBootLog() }
+func (c *Controller) abortAdmit() { c.rollbackBoots() }
 
-// rollbackEvict replays the rack's teardown journal in reverse.
+// rollbackEvict replays the rack's teardown journal in reverse; the
+// journal starts with the rack's shard (releaseShard).
 func (c *Controller) rollbackEvict(cause error) error {
 	for i := len(c.undoLog) - 1; i >= 0; i-- {
 		if err := c.undoLog[i].undoDetach(); err != nil {

@@ -4,23 +4,28 @@ package sdm
 // serves a scale-up burst and EvictBatch retires one in three
 // deterministic phases:
 //
-//  1. Partition (serial): admission assigns every request a child by
-//     the same O(1) aggregates the per-request child choice reads,
-//     adjusted by the cores already planned onto each child, so a burst
-//     spreads (or packs) the way the policy would have placed it one by
-//     one; eviction splits each request's attachments into the ones its
-//     child tears down and the ones crossing this tier. Both pack the
-//     per-child sub-batches with one counting sort (packShards).
+//  1. Partition (serial): admission claims every request's compute in
+//     request order through the per-request reserve — child choice, the
+//     confirming pick, the claim at the brick it found — so the
+//     placement is exactly the sequential one at any batch size, and a
+//     request is only routed where it fits. The claims run through the
+//     racks' batch planners (pick cache, deferred leaf refreshes,
+//     flushed when the partition ends). Eviction splits each request's
+//     attachments into the ones its child tears down and the ones
+//     crossing this tier. Both pack the per-child sub-batches with one
+//     counting sort (packShards); a claimed request carries its location
+//     and latency down.
 //  2. Waves (parallel): the tier's wave sequence (tierSpec) runs the
 //     sub-batches on worker goroutines. The pod runs one rack wave; the
-//     row runs a pod plan wave, one flat (pod, rack) commit wave with
-//     deferred rack→pod rollups, and a pod merge wave. Shards share
-//     nothing, so the outcome is byte-identical at any worker count.
-//  3. Merge (serial): admission gathers the results and resolves the
-//     leftovers in request order through the sequential tier path —
-//     the spill across the tier, then its packet fallback — folding the
-//     counters once per batch; eviction gathers and detaches the cross
-//     attachments in request order through the one detach body,
+//     row runs a pod routing wave, one flat (pod, rack) commit wave
+//     with deferred rack→pod rollups, and a pod merge wave. An
+//     admission's rack shards only attach. Shards share nothing, so the
+//     outcome is byte-identical at any worker count.
+//  3. Merge (serial): admission gathers the results and spills the
+//     remote parts no child could serve across the tier in request
+//     order — the cross circuit, then its packet fallback — folding the
+//     attach counters once per batch; eviction gathers and detaches the
+//     cross attachments in request order through the one detach body,
 //     journaled.
 //
 // Both are all-or-nothing. A failed admission tears every committed
@@ -30,8 +35,8 @@ package sdm
 // exact offsets, ports re-acquire, circuits rebuild, packet riders
 // re-key, walk orders re-thread without re-stamping, released compute
 // re-reserves. A tier running as its parent's shard (a pod under a row)
-// runs the same partition and merge but never aborts: it leaves a
-// failure in its results for the parent to act on.
+// routes its sub-batch by location and runs the same merge, but never
+// aborts: it leaves a failure in its results for the parent to act on.
 
 import (
 	"fmt"
@@ -164,16 +169,25 @@ type rackShard struct {
 // train stops allocating.
 type admitScratch struct {
 	shardPack
-	// room is each child's free cores less the cores planned onto it.
-	// The partition mutates nothing but scratch, so the pre-batch free
-	// cores are read once per batch.
-	room     []int64
+	// claims holds each request's claimed compute, in request order.
+	claims   []claimAt
 	subReq   []AdmitRequest
 	subOut   []AdmitResult
-	retry    []bool
 	leftover []int
+	// room is each child's free cores at the partition's first claim at
+	// this tier less the cores claimed since; roomHeld marks it live
+	// (spread only — see tier.claim).
+	room     []int64
+	roomHeld bool
 	// seq is the tier's spill sequence counter at the batch's start.
 	seq uint64
+}
+
+// claimAt is where a partition claimed one request's compute, and at
+// what control-plane latency.
+type claimAt struct {
+	loc topo.RowBrickID
+	lat sim.Duration
 }
 
 // crossItem queues one cross attachment for a tier's serial eviction
@@ -245,10 +259,18 @@ func (t *tier[C]) AdmitBatchInto(reqs []AdmitRequest, out []AdmitResult, workers
 	}
 	t.beginAdmit()
 	defer t.endAdmit()
-	t.partition(reqs)
+	n, perr := t.partition(reqs)
 	t.spec.admitWaves(workers)
-	t.gather(reqs, out)
-	return t.merge(reqs, out, false)
+	t.gather(reqs[:n], out[:n])
+	if err := t.merge(reqs[:n], out[:n], false); err != nil {
+		return err
+	}
+	if perr != nil {
+		// Request n found no compute; every request before it is served,
+		// so it is the batch's first failure in request order.
+		return t.abortBatch(reqs, out, n, perr)
+	}
+	return nil
 }
 
 // beginAdmit starts the boot logs of every rack below the tier and
@@ -274,52 +296,64 @@ func (t *tier[C]) abortAdmit() {
 	}
 }
 
-// partition is the first half of admission: child choice for every
-// request (attach-only requests go home) and the pack into per-child
-// sub-batches. Requests are pre-validated by the caller.
-func (t *tier[C]) partition(reqs []AdmitRequest) {
+// partition is the first half of admission. Every compute request, in
+// request order, runs the per-request reserve — child choice, the
+// confirming pick, the claim at the brick it found — so a request is
+// only ever routed where it fits, and the placement is the sequential
+// one at any batch size. Attach-only requests, and requests a parent
+// tier already claimed, route by location. The per-child sub-batches
+// are packed, each claimed request carrying its location and latency
+// down. partition returns how many requests it served: all of them, or
+// those before the first failed reserve, whose error it returns.
+//
+// The claims end with the partition: a tier's room here, a pod's under
+// a row when its routing partition runs, a claimed rack's batch mode
+// when its attach shard does.
+func (t *tier[C]) partition(reqs []AdmitRequest) (int, error) {
 	sc := &t.admit
+	sc.roomHeld = false
 	sc.reset(len(reqs), len(t.kids))
-	if cap(sc.retry) < len(reqs) {
-		sc.retry = make([]bool, len(reqs))
+	if cap(sc.claims) < len(reqs) {
+		sc.claims = make([]claimAt, len(reqs))
 	}
-	if cap(sc.room) < len(t.kids) {
-		sc.room = make([]int64, len(t.kids))
-	}
-	kid, room := sc.kid[:len(reqs)], sc.room[:len(t.kids)]
-	for k, c := range t.kids {
-		room[k] = c.freeCores()
-	}
-	plannedAny := false
+	kid, claims := sc.kid[:len(reqs)], sc.claims[:len(reqs)]
+	n, err := len(reqs), error(nil)
 	for i := range reqs {
-		if reqs[i].VCPUs == 0 {
-			kid[i] = t.kidOf(reqs[i].at())
-		} else {
-			kid[i] = t.partitionStep(&reqs[i], room, &plannedAny)
+		req := &reqs[i]
+		if req.VCPUs == 0 || req.claimed {
+			kid[i] = t.kidOf(req.at())
+			continue
+		}
+		loc, lat, e := t.reserve(req.VCPUs, req.LocalMem, true)
+		if e != nil {
+			n, err = i, e
+			break
+		}
+		kid[i], claims[i] = t.kidOf(loc), claimAt{loc: loc, lat: lat}
+	}
+	sc.roomHeld = false
+	packShards(&sc.shardPack, reqs[:n], &sc.subReq, &sc.subOut)
+	for i := 0; i < n; i++ {
+		if reqs[i].VCPUs > 0 && !reqs[i].claimed {
+			sub, c := &sc.subReq[sc.pos[i]], &claims[i]
+			sub.Pod, sub.Rack, sub.CPU = c.loc.Pod, c.loc.Rack, c.loc.Brick
+			sub.claimed, sub.claimLat = true, c.lat
 		}
 	}
-	packShards(&sc.shardPack, reqs, &sc.subReq, &sc.subOut)
+	return n, err
 }
 
 // gather copies every dispatched result into out before any merging,
-// so a mid-merge abort sees all worker-committed state, and lists the
-// requests the merge must revisit: undispatched or failed ones (retry —
-// a failed child request committed nothing) and ones whose remote part
-// needs the spill across this tier. The request counters fold here,
-// once per batch.
+// so a mid-merge abort sees all committed state, and lists the requests
+// the merge must revisit: failed ones and ones whose remote part needs
+// the spill across this tier. The attach counters fold here, once per
+// batch (the partition's reserves counted the compute parts).
 func (t *tier[C]) gather(reqs []AdmitRequest, out []AdmitResult) {
 	sc := &t.admit
 	kid, pos := sc.kid[:len(reqs)], sc.pos[:len(reqs)]
-	retry := sc.retry[:len(reqs)]
-	clear(retry)
 	leftover := sc.leftover[:0]
 	var n uint64
 	for i := range reqs {
-		if pos[i] < 0 {
-			retry[i] = true
-			leftover = append(leftover, i)
-			continue
-		}
 		res := &out[i]
 		*res = sc.subOut[pos[i]]
 		if t.lvl == 0 {
@@ -334,13 +368,8 @@ func (t *tier[C]) gather(reqs []AdmitRequest, out []AdmitResult) {
 			t.stampKids(res.Att, kid[i], kid[i])
 		}
 		if res.Err != nil {
-			*res = AdmitResult{}
-			retry[i] = true
 			leftover = append(leftover, i)
 			continue
-		}
-		if reqs[i].VCPUs > 0 {
-			n++
 		}
 		if reqs[i].Remote > 0 {
 			n++
@@ -353,44 +382,20 @@ func (t *tier[C]) gather(reqs []AdmitRequest, out []AdmitResult) {
 	sc.leftover = leftover
 }
 
-// merge resolves the leftovers in request order through the sequential
-// tier path. A top-level batch aborts on the first definitive failure;
-// a shard leaves it for its parent — a request that placed nothing as
-// Err (the parent re-places it), a committed compute whose remote part
-// found no home in the shard as needSpill (the parent spills it).
+// merge resolves the leftovers in request order: the spill across this
+// tier, then its packet fallback. A top-level batch aborts on the first
+// failure; a shard leaves it for its parent — a failed request as Err,
+// a committed compute whose remote part found no home in the shard as
+// needSpill (the parent spills it).
 func (t *tier[C]) merge(reqs []AdmitRequest, out []AdmitResult, shard bool) error {
-	sc := &t.admit
-	for _, i := range sc.leftover {
+	for _, i := range t.admit.leftover {
 		req, res := &reqs[i], &out[i]
-		if sc.retry[i] {
-			if req.VCPUs > 0 {
-				id, lat, err := t.reserve(req.Owner, req.VCPUs, req.LocalMem)
-				if err != nil {
-					if shard {
-						*res = AdmitResult{Err: err}
-						continue
-					}
-					return t.abortBatch(reqs, out, i, err)
-				}
-				t.setLoc(res, id)
-				res.ComputeLat, res.computeDone = lat, true
-			} else {
-				t.setLoc(res, req.at())
+		if res.Err != nil {
+			if shard {
+				continue
 			}
-			if req.Remote > 0 {
-				att, lat, err := t.attach(req.Owner, res.at(), req.Remote)
-				if err != nil {
-					if shard {
-						res.needSpill, res.localErr = true, err
-						continue
-					}
-					return t.abortBatch(reqs, out, i, err)
-				}
-				res.Att, res.AttachLat = att, lat
-			}
-			continue
+			return t.abortBatch(reqs, out, i, res.Err)
 		}
-		// Every other leftover needs the spill across this tier.
 		att, lat, err := t.attachCross(req.Owner, res.at(), req.Remote)
 		if err != nil {
 			localErr := res.localErr
@@ -462,10 +467,6 @@ func (t *tier[C]) EvictBatchInto(reqs []EvictRequest, out []EvictResult, workers
 			return fmt.Errorf("sdm: batch eviction request %d (%q): %s", i, reqs[i].Owner, bad)
 		}
 	}
-	// Clear every journal up front: rollbackEvict replays all of them,
-	// and a rack or tier this batch never touches must not replay
-	// entries left over from an earlier committed batch.
-	t.resetJournals()
 	t.evictPlan(reqs)
 	t.spec.evictWaves(workers)
 	sc := &t.evict
@@ -488,23 +489,15 @@ func (t *tier[C]) EvictBatchInto(reqs []EvictRequest, out []EvictResult, workers
 	return nil
 }
 
-// resetJournals clears the tier's own journal and every one below it,
-// and marks the spill sequence counters.
-func (t *tier[C]) resetJournals() {
-	sc := &t.evict
-	sc.log, sc.shardN, sc.seq = sc.log[:0], 0, t.attachSeq
-	for _, k := range t.kids {
-		k.resetJournals()
-	}
-}
-
 // evictPlan is the first half of eviction: split every request's
 // attachments into the ones this tier owns (queued for the serial cross
 // phase — their circuits ride the tier's switch, which no child owns)
-// and the rest, and pack the per-child sub-batches.
+// and the rest, and pack the per-child sub-batches. It starts the
+// tier's journal and marks its spill sequence counter; each rack starts
+// its own journal with its shard (releaseShard).
 func (t *tier[C]) evictPlan(reqs []EvictRequest) {
 	sc := &t.evict
-	sc.shardN = len(reqs)
+	sc.log, sc.shardN, sc.seq = sc.log[:0], len(reqs), t.attachSeq
 	total := 0
 	for i := range reqs {
 		total += len(reqs[i].Atts)
@@ -545,7 +538,6 @@ func (t *tier[C]) evictPlan(reqs []EvictRequest) {
 func (t *tier[C]) evictMerge(reqs []EvictRequest, out []ReleaseResult) (int, error) {
 	sc := &t.evict
 	pos := sc.pos[:len(reqs)]
-	sc.log = sc.log[:0]
 	for i := range reqs {
 		r := &sc.subOut[pos[i]]
 		if r.Err != nil {
@@ -565,10 +557,12 @@ func (t *tier[C]) evictMerge(reqs []EvictRequest, out []ReleaseResult) (int, err
 }
 
 // rollbackEvict replays the journals of the last eviction in reverse —
-// this tier's cross phase first (last torn down), then every child's —
-// re-reserves the compute the tier's racks released, and restores the
-// spill sequence counter, leaving the tier as if the eviction never
-// ran. It returns cause, annotated with any replay failure.
+// this tier's cross phase first (last torn down), then those of the
+// children the batch reached (the others may hold an earlier committed
+// batch's journal, which must not replay) — re-reserves the compute the
+// tier's racks released, and restores the spill sequence counter,
+// leaving the tier as if the eviction never ran. It returns cause,
+// annotated with any replay failure.
 func (t *tier[C]) rollbackEvict(cause error) error {
 	sc := &t.evict
 	for i := len(sc.log) - 1; i >= 0; i-- {
@@ -577,8 +571,8 @@ func (t *tier[C]) rollbackEvict(cause error) error {
 		}
 	}
 	sc.log = sc.log[:0]
-	for _, k := range t.kids {
-		cause = k.rollbackEvict(cause)
+	for _, k := range sc.active {
+		cause = t.kids[k].rollbackEvict(cause)
 	}
 	for i := sc.shardN - 1; i >= 0; i-- {
 		res := &sc.subOut[sc.pos[i]]
