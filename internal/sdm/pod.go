@@ -191,17 +191,11 @@ func (s *PodScheduler) maxGap() brick.Bytes {
 
 // canPlaceCompute screens on the summary's per-state maxima of free
 // cores and free local memory over the rack compute roots: false means
-// no brick in the pod fits. canPlaceMemory's max gap is exact.
+// no brick in the pod fits. Only a row's indexed pick calls it, and
+// there the summary is always installed. canPlaceMemory's max gap is
+// exact.
 func (s *PodScheduler) canPlaceCompute(vcpus int, localMem brick.Bytes) bool {
-	if s.agg != nil {
-		return s.agg.canPlaceCompute(int64(vcpus), int64(localMem))
-	}
-	for _, r := range s.racks {
-		if r.CanPlaceCompute(vcpus, localMem) {
-			return true
-		}
-	}
-	return false
+	return s.agg.canPlaceCompute(int64(vcpus), int64(localMem))
 }
 func (s *PodScheduler) canPlaceMemory(size brick.Bytes) bool { return s.maxGap() >= size }
 func (s *PodScheduler) pickComputeIn(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, bool) {

@@ -79,15 +79,11 @@ def main():
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, default=0, help="1 runs the traced (per-layer) benchmark")
-    ap.add_argument("--workloads", default="", help="comma-separated subset (default: all of BENCHMARK.json)")
-    ap.add_argument("--json", default="", help="write every run's result line to this file")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     workloads = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        workloads = args.workloads.split(",")
     metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
 
     sha, parent = export(args.parent)
@@ -99,9 +95,6 @@ def main():
             for side in order:
                 runs[side][w].append(run(sides[side], w, args))
             print("%s pair %d/%d done" % (w, i + 1, args.pairs), file=sys.stderr, flush=True)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump({"parent": sha, "args": vars(args), "runs": runs}, f)
 
     bad = False
     print("rowbench A/B: parent %s vs checkout; %d pairs, --seconds %d, --seed %d, --trace %d"
