@@ -47,12 +47,17 @@ SHELL := /bin/bash
 # (rowbench/, BENCHMARK.json) between PARENT and this checkout: PAIRS
 # alternating pairs per workload at --seconds SECONDS --seed SEED, with
 # both medians and quartiles, wins per pair and each metric's bound.
+#
+# `make identity PARENT=<rev>` checks that dredbox-report (the full report
+# and every CI determinism mode, text and artifacts) and the dredbox-rack
+# tours produce byte-identical output at PARENT and in this checkout
+# (scripts/identity.sh).
 PARENT ?= HEAD
 PAIRS ?= 10
 SECONDS ?= 30
 SEED ?= 1
 
-.PHONY: build test vet bench bench-check profile saturation saturation-row rowbench-ab
+.PHONY: build test vet bench bench-check profile saturation saturation-row rowbench-ab identity
 
 build:
 	$(GO) build ./...
@@ -127,3 +132,6 @@ saturation-row:
 
 rowbench-ab:
 	python3 scripts/rowbench_ab.py --parent $(PARENT) --pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)
+
+identity:
+	scripts/identity.sh $(PARENT)

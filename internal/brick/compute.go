@@ -19,7 +19,6 @@ type Compute struct {
 	usedCores int
 	usedLocal Bytes
 	state     PowerState
-	epoch     uint64
 }
 
 // ComputeConfig parameterizes NewCompute. Zero fields take prototype
@@ -53,16 +52,9 @@ func NewCompute(id topo.BrickID, cfg ComputeConfig) *Compute {
 // State returns the power state.
 func (c *Compute) State() PowerState { return c.state }
 
-// Epoch returns a counter bumped by every capacity or power mutation of
-// the brick, including its port set — placement indexes compare it
-// against the epoch they last refreshed at to know when a cached entry
-// is stale.
-func (c *Compute) Epoch() uint64 { return c.epoch + c.Ports.Epoch() }
-
 // PowerOn transitions the brick to idle (or active if it already holds
 // allocations, which can happen when replaying a checkpointed schedule).
 func (c *Compute) PowerOn() {
-	c.epoch++
 	if c.usedCores > 0 {
 		c.state = PowerActive
 		return
@@ -75,7 +67,6 @@ func (c *Compute) PowerDown() error {
 	if c.usedCores > 0 || c.usedLocal > 0 {
 		return fmt.Errorf("compute %v: power down with %d cores / %v local memory allocated", c.ID, c.usedCores, c.usedLocal)
 	}
-	c.epoch++
 	c.state = PowerOff
 	return nil
 }
@@ -100,7 +91,6 @@ func (c *Compute) AllocCores(n int) error {
 	}
 	c.usedCores += n
 	c.state = PowerActive
-	c.epoch++
 	return nil
 }
 
@@ -110,7 +100,6 @@ func (c *Compute) FreeCoresBack(n int) error {
 		return fmt.Errorf("compute %v: release of %d cores with %d allocated", c.ID, n, c.usedCores)
 	}
 	c.usedCores -= n
-	c.epoch++
 	if c.usedCores == 0 && c.usedLocal == 0 {
 		c.state = PowerIdle
 	}
@@ -131,7 +120,6 @@ func (c *Compute) AllocLocal(b Bytes) error {
 	}
 	c.usedLocal += b
 	c.state = PowerActive
-	c.epoch++
 	return nil
 }
 
@@ -141,7 +129,6 @@ func (c *Compute) FreeLocal(b Bytes) error {
 		return fmt.Errorf("compute %v: release of %v with %v allocated", c.ID, b, c.usedLocal)
 	}
 	c.usedLocal -= b
-	c.epoch++
 	if c.usedCores == 0 && c.usedLocal == 0 {
 		c.state = PowerIdle
 	}

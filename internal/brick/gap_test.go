@@ -59,42 +59,3 @@ func TestLargestGapIncremental(t *testing.T) {
 		}
 	}
 }
-
-// TestMemoryEpoch checks that capacity, power and port mutations all
-// advance the change epoch placement indexes key their refresh off.
-func TestMemoryEpoch(t *testing.T) {
-	m := NewMemory(topo.BrickID{}, MemoryConfig{Capacity: GiB, Ports: 2})
-	last := m.Epoch()
-	bump := func(what string) {
-		t.Helper()
-		if e := m.Epoch(); e <= last {
-			t.Fatalf("%s did not advance epoch (still %d)", what, e)
-		} else {
-			last = e
-		}
-	}
-	m.PowerOn()
-	bump("PowerOn")
-	seg, err := m.Carve(MiB, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bump("Carve")
-	p, err := m.Ports.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bump("Ports.Acquire")
-	if err := m.Ports.Release(p); err != nil {
-		t.Fatal(err)
-	}
-	bump("Ports.Release")
-	if err := m.Release(seg); err != nil {
-		t.Fatal(err)
-	}
-	bump("Release")
-	if err := m.PowerDown(); err != nil {
-		t.Fatal(err)
-	}
-	bump("PowerDown")
-}

@@ -63,7 +63,6 @@ type Memory struct {
 	// placement-fitness probe asks for.
 	gapCount map[Bytes]int
 	largest  Bytes
-	epoch    uint64
 }
 
 // MemoryConfig parameterizes NewMemory. Zero fields take prototype
@@ -97,12 +96,6 @@ func NewMemory(id topo.BrickID, cfg MemoryConfig) *Memory {
 		largest:     cfg.Capacity,
 	}
 }
-
-// Epoch returns a counter bumped by every capacity or power mutation of
-// the brick, including its port set — placement indexes compare it
-// against the epoch they last refreshed at to know when a cached entry
-// is stale.
-func (m *Memory) Epoch() uint64 { return m.epoch + m.Ports.Epoch() }
 
 // addGap records one free gap of the given size.
 func (m *Memory) addGap(sz Bytes) {
@@ -167,7 +160,6 @@ func (m *Memory) State() PowerState { return m.state }
 
 // PowerOn transitions the brick to idle or active.
 func (m *Memory) PowerOn() {
-	m.epoch++
 	if len(m.segments) > 0 {
 		m.state = PowerActive
 		return
@@ -180,7 +172,6 @@ func (m *Memory) PowerDown() error {
 	if len(m.segments) > 0 {
 		return fmt.Errorf("memory %v: power down with %d segments allocated", m.ID, len(m.segments))
 	}
-	m.epoch++
 	m.state = PowerOff
 	return nil
 }
@@ -241,7 +232,6 @@ func (m *Memory) Carve(size Bytes, owner string) (*Segment, error) {
 	m.addGap(gap - size)
 	m.used += size
 	m.state = PowerActive
-	m.epoch++
 	return seg, nil
 }
 
@@ -274,7 +264,6 @@ func (m *Memory) Release(seg *Segment) error {
 		// be recycled; foreign segments never reach this push and fall
 		// through to the unknown-segment error below.
 		m.segFree = append(m.segFree, seg)
-		m.epoch++
 		if len(m.segments) == 0 {
 			m.state = PowerIdle
 		}

@@ -246,7 +246,7 @@ func (c *Controller) pickMemoryLinear(size brick.Bytes) (topo.BrickID, bool) {
 // reserve" requirement. The returned latency is the orchestration delay
 // a scale-up request observes before the OS-level hotplug begins.
 func (c *Controller) AttachRemoteMemory(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return c.attachLocal(owner, cpu, size, false)
+	return c.rackSite().attach(owner, topo.RowBrickID{Brick: cpu}, size, false)
 }
 
 // DetachRemoteMemory tears an attachment down and returns the
@@ -268,13 +268,6 @@ func dropAtt(list []*Attachment, att *Attachment) []*Attachment {
 		}
 	}
 	return list
-}
-
-// removeCircuitHost drops a circuit-mode attachment from the host index.
-func (c *Controller) removeCircuitHost(att *Attachment) {
-	if p := c.cpuPos(att.CPU); p >= 0 {
-		c.circuitHosts[p] = dropAtt(c.circuitHosts[p], att)
-	}
 }
 
 // ReserveAccel binds an accelerator slot for owner, selecting a brick by

@@ -77,35 +77,87 @@ func TestRebalanceSweepAllocFree(t *testing.T) {
 	}
 }
 
-// TestPerRequestAttachDetachAllocs pins the per-request rack path to
-// the batch engine's inline bodies: a warmed AttachRemoteMemory +
-// DetachRemoteMemory cycle allocates at most one object — the
-// Attachment the caller keeps, since per-request detaches never recycle
-// it into the arena.
+// TestPerRequestAttachDetachAllocs pins the per-request paths to the
+// inline attach and detach bodies at every tier: a warmed attach +
+// detach cycle — rack-local, spilled cross-rack in a pod, and spilled
+// cross-pod in a row — allocates at most one object, the Attachment
+// the caller keeps, since per-request detaches never recycle it into
+// the arena.
 func TestPerRequestAttachDetachAllocs(t *testing.T) {
-	c := buildBatchPod(t, 1, 2, 2, 4*brick.GiB, DefaultConfig).Rack(0)
-	cpu, _, err := c.ReserveCompute("vm", 1, 0)
-	if err != nil {
-		t.Fatal(err)
+	pin := func(t *testing.T, attach func() (*Attachment, error), detach func(*Attachment) error, spill func(*Attachment) bool) {
+		t.Helper()
+		cycle := func() {
+			att, err := attach()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !spill(att) {
+				t.Fatalf("attachment on racks %d→%d, pods %d→%d: wrong tier", att.CPURack, att.MemRack, att.CPUPod, att.MemPod)
+			}
+			if err := detach(att); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			cycle() // warm the owner table, segment and circuit arenas
+		}
+		if n := testing.AllocsPerRun(50, cycle); n > 1 {
+			t.Fatalf("per-request attach+detach cycle allocates %.1f/op, want <= 1", n)
+		}
 	}
-	cycle := func() {
-		att, _, err := c.AttachRemoteMemory("vm", cpu, brick.GiB/4)
+	t.Run("rack", func(t *testing.T) {
+		c := buildBatchPod(t, 1, 2, 2, 4*brick.GiB, DefaultConfig).Rack(0)
+		cpu, _, err := c.ReserveCompute("vm", 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.DetachRemoteMemory(att); err != nil {
+		pin(t, func() (*Attachment, error) {
+			att, _, err := c.AttachRemoteMemory("vm", cpu, brick.GiB/4)
+			return att, err
+		}, func(att *Attachment) error {
+			_, err := c.DetachRemoteMemory(att)
+			return err
+		}, func(att *Attachment) bool { return att.cross == nil })
+		if c.batch != nil {
+			t.Fatal("per-request calls built batch state")
+		}
+	})
+	t.Run("pod", func(t *testing.T) {
+		s := buildPodSched(t, 2, 4*brick.GiB, 2, DefaultConfig)
+		cpu, _, err := s.ReserveCompute("vm", 1, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 3; i++ {
-		cycle() // warm the owner table, segment and circuit arenas
-	}
-	if n := testing.AllocsPerRun(50, cycle); n > 1 {
-		t.Fatalf("per-request attach+detach cycle allocates %.1f/op, want <= 1", n)
-	}
-	if c.batch != nil {
-		t.Fatal("per-request calls built batch state")
-	}
+		// Fill the home rack, so every cycle spills to the other one.
+		if _, _, err := s.AttachRemoteMemory("vm", cpu, 4*brick.GiB); err != nil {
+			t.Fatal(err)
+		}
+		pin(t, func() (*Attachment, error) {
+			att, _, err := s.AttachRemoteMemory("vm", cpu, brick.GiB/4)
+			return att, err
+		}, func(att *Attachment) error {
+			_, err := s.DetachRemoteMemory(att)
+			return err
+		}, (*Attachment).CrossRack)
+	})
+	t.Run("row", func(t *testing.T) {
+		s := buildRowSched(t, 2, 1, 4*brick.GiB, DefaultConfig)
+		cpu, _, err := s.ReserveCompute("vm", 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fill the home pod, so every cycle spills to the other one.
+		if _, _, err := s.AttachRemoteMemory("vm", cpu, 4*brick.GiB); err != nil {
+			t.Fatal(err)
+		}
+		pin(t, func() (*Attachment, error) {
+			att, _, err := s.AttachRemoteMemory("vm", cpu, brick.GiB/4)
+			return att, err
+		}, func(att *Attachment) error {
+			_, err := s.DetachRemoteMemory(att)
+			return err
+		}, (*Attachment).CrossPod)
+	})
 }
 
 // steadyChurn runs warmed admit→evict cycles over caller-held buffers

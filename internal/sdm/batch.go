@@ -27,14 +27,18 @@ package sdm
 //     releases instead of one closure per step, so a burst allocates no
 //     plan machinery.
 //
-// The compute claim (claimCompute) and the attach (attachLocal) are the
-// same bodies ReserveCompute and AttachRemoteMemory run — a batch only
-// adds the pick cache and the deferred index refreshes. Selection is
-// byte-identical to the per-request path: cache hits return what a
-// fresh descent would return (the invariant above), and cache misses
-// flush the dirty leaves first so the descent runs on an exact tree. A
-// rack's PlaceBatch therefore reproduces the sequential ReserveCompute +
-// AttachRemoteMemory results bit for bit. Under a pod or row the tier's
+// The compute claim (claimCompute) and the attach (attachSite.attach,
+// at the end of this file) are the same bodies ReserveCompute and
+// AttachRemoteMemory run — a batch only adds the pick cache and the
+// deferred index refreshes. Selection is byte-identical to the
+// per-request path: cache hits return what a fresh descent would return
+// (the invariant above), and cache misses flush the dirty leaves first
+// so the descent runs on an exact tree. A rack's PlaceBatch therefore
+// reproduces the sequential ReserveCompute + AttachRemoteMemory results
+// bit for bit. The attach body serves every tier: the site it runs at
+// (rackSite here, a tier's spillSite for a spill across a pod or row
+// switch) supplies the memory pick, the circuit's switch and the host
+// table, as a detachSite does for the one teardown body. Under a pod or row the tier's
 // partition claims the compute through the same planner (claimIn), in
 // request order, and the rack wave only attaches (admitOne).
 
@@ -337,7 +341,7 @@ func (c *Controller) admitOne(req *AdmitRequest, res *AdmitResult, pod bool) {
 		res.needSpill = true
 		return
 	}
-	att, lat, err := c.attachLocal(req.Owner, cpu, req.Remote, true)
+	att, lat, err := c.rackSite().attach(req.Owner, topo.RowBrickID{Brick: cpu}, req.Remote, true)
 	if err != nil {
 		if pod {
 			res.needSpill = true
@@ -390,163 +394,240 @@ func (c *Controller) RollbackBatch(reqs []AdmitRequest, out []AdmitResult) error
 	return first
 }
 
-// attachLocal is the one rack-local attach body, behind both
-// AttachRemoteMemory and the batch planner: CPU-side port, memory
-// selection and power-up, segment carve, memory-side port, circuit
-// (with quarantine-and-retry fault recovery), TGL window, registration
-// — executed inline as one merged commit with explicit reverse-order
-// unwinding, cascading into the packet fallback when circuit resources
-// are exhausted. cached serves the memory pick from the batch pick
-// cache; only placeBatch sets it.
-func (c *Controller) attachLocal(owner string, cpu topo.BrickID, size brick.Bytes, cached bool) (*Attachment, sim.Duration, error) {
-	c.requests++
-	cpuOrd := c.cpuPos(cpu)
-	if cpuOrd < 0 {
-		c.failures++
-		return nil, 0, fmt.Errorf("sdm: no compute brick %v", cpu)
+// attachSite locates one attach, as detachSite locates a teardown. It
+// names the compute rack; the tier a spill crosses (nil for a
+// rack-local attach), whose crossTier holds the walk order, and the
+// VM's child at that tier; the host table the circuit registers in on
+// the compute rack (circuitHosts, or crossHosts at the tier's level);
+// and the counters of a rack-local attach. A spill site has none: a
+// tier counts its attach requests where it counts its spills.
+type attachSite struct {
+	rack    *Controller
+	tier    *crossTier
+	kid     int
+	hostTab [][]*Attachment
+	stats   *tally
+}
+
+// rackSite is the attach site of c's rack-local attachments.
+func (c *Controller) rackSite() attachSite {
+	return attachSite{rack: c, hostTab: c.circuitHosts, stats: &c.tally}
+}
+
+// memPick is a memory end chosen for an attach: the brick, addressed
+// row-wide, and the controller owning it.
+type memPick struct {
+	rack *Controller
+	at   topo.RowBrickID
+}
+
+// attach is the one circuit attach body, at every tier: CPU-side port,
+// memory selection and power-up, segment carve, memory-side port,
+// circuit (with quarantine-and-retry fault recovery), TGL window,
+// registration — executed inline as one merged commit with explicit
+// reverse-order unwinding, cascading into the packet fallback when
+// circuit resources are exhausted. cached serves a rack-local memory
+// pick from the batch pick cache; only placeBatch sets it.
+func (st attachSite) attach(owner string, cpu topo.RowBrickID, size brick.Bytes, cached bool) (*Attachment, sim.Duration, error) {
+	c := st.rack
+	if st.stats != nil {
+		st.stats.requests++
 	}
-	node := c.computes[cpuOrd]
-	if size == 0 {
-		c.failures++
-		return nil, 0, fmt.Errorf("sdm: zero-size attachment")
-	}
-	lat := c.cfg.DecisionLatency
-	var (
-		m         *brick.Memory
-		memID     topo.BrickID
-		memChosen bool
-		ok        bool
-	)
-	// The op's touch hooks, deferred so every exit marks both endpoints
-	// dirty exactly as Commit would have touched them.
-	defer func() {
-		c.touchCompute(cpu)
-		if memChosen {
-			c.touchMemory(memID)
-		}
-	}()
-	// fail concludes a mid-plan failure after the caller has unwound the
-	// completed steps: caches drop (the unwind returned capacity), the
-	// packet fallback cascades when circuit resources were exhausted.
-	fallback := false
-	fail := func(err error) (*Attachment, sim.Duration, error) {
+	// fail concludes a failure after the completed steps are unwound.
+	// The pick caches drop (the unwind returned capacity). When circuit
+	// resources ran out — a port, a memory brick with a spare port, an
+	// uplink — rather than a fault or a full window table, the packet
+	// fallback may absorb it, on top of the latency already spent (a
+	// brick boot stays spent).
+	fail := func(lat sim.Duration, cascade bool, err error) (*Attachment, sim.Duration, error) {
 		c.batch.invalidateCaches()
-		if fallback && c.cfg.PacketFallback {
-			if att, fl, ferr := c.attachPacket(owner, cpu, size); ferr == nil {
+		if cascade && c.cfg.PacketFallback {
+			if att, fl, ferr := st.packet(owner, cpu, size); ferr == nil {
 				return att, lat + fl, nil
 			}
 		}
-		c.failures++
+		if st.stats != nil {
+			st.stats.failures++
+		}
 		return nil, 0, err
 	}
-
+	cpuOrd := c.cpuPos(cpu.Brick)
+	if cpuOrd < 0 {
+		return fail(0, false, fmt.Errorf("sdm: no compute brick %v", cpu.Brick))
+	}
+	node := c.computes[cpuOrd]
+	if size == 0 {
+		return fail(0, false, fmt.Errorf("sdm: zero-size attachment"))
+	}
+	lat := c.cfg.DecisionLatency
+	var mem memPick
+	// Touch both endpoints on every exit, exactly once.
+	defer func() {
+		c.touchCompute(cpu.Brick)
+		if mem.rack != nil {
+			mem.rack.touchMemory(mem.at.Brick)
+		}
+	}()
 	// The CPU-side port is the scarcest resource: claim it before any
 	// memory brick is selected (and possibly powered on), so that port
 	// exhaustion falls back to packet mode without wasted boots.
 	cpuPort, err := node.Brick.Ports.Acquire()
 	if err != nil {
-		fallback = true
-		return fail(err)
+		return fail(lat, true, err)
 	}
-	// Memory selection and power-up.
-	if cached {
-		memID, ok = c.batchPickMemory(size)
+	// Memory selection: the rack's own pick, or a spill's child by the
+	// tier's policy and the brick by that child's.
+	if st.tier == nil {
+		var ok bool
+		if cached {
+			mem.at.Brick, ok = c.batchPickMemory(size)
+		} else {
+			mem.at.Brick, ok = c.pickMemory(size)
+		}
+		if !ok {
+			node.Brick.Ports.Release(cpuPort)
+			return fail(lat, true, fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size))
+		}
+		mem.rack = c
 	} else {
-		memID, ok = c.pickMemory(size)
+		var cascade bool
+		if mem, cascade, err = st.tier.spec.pickSpill(size, st.kid); err != nil {
+			node.Brick.Ports.Release(cpuPort)
+			return fail(lat, cascade, err)
+		}
 	}
-	if !ok {
-		node.Brick.Ports.Release(cpuPort)
-		fallback = true
-		return fail(fmt.Errorf("sdm: no memory brick with %v contiguous free and a spare port", size))
-	}
-	m, memChosen = c.memory(memID), true
+	m := mem.rack.memory(mem.at.Brick)
 	if m.State() == brick.PowerOff {
 		m.PowerOn()
 		lat += c.cfg.BrickBoot
-		if c.batch != nil {
-			c.batch.memCache.valid = false
+		if mem.rack.batch != nil {
+			mem.rack.batch.memCache.valid = false
 		}
-		c.logBootMem(memID)
+		mem.rack.logBootMem(mem.at.Brick)
 	}
 	// Segment carve.
 	seg, err := m.Carve(size, owner)
 	if err != nil {
 		node.Brick.Ports.Release(cpuPort)
-		return fail(err)
+		return fail(lat, false, err)
 	}
 	// Memory-side port.
 	memPort, err := m.Ports.Acquire()
 	if err != nil {
 		m.Release(seg)
 		node.Brick.Ports.Release(cpuPort)
-		fallback = true
-		return fail(err)
+		return fail(lat, true, err)
 	}
-	// Circuit setup. An optical path fault quarantines the failed
-	// endpoint and retries through another port; the quarantined port
-	// stays withdrawn for the operator, and the retry bound covers the
-	// worst case of every port failing.
-	t := c.rackTier()
+	// Circuit setup through the rack fabric or the tier's switch. An
+	// optical path fault quarantines the failed endpoint and retries
+	// through another port; the quarantined port stays withdrawn for the
+	// operator, the retry bound covers every port failing, and a fault
+	// never cascades. Any other connect error — the switches' uplinks
+	// exhausted — does.
+	link := c.rackTier()
+	if st.tier != nil {
+		link = st.tier.spec.crossLink(cpu, mem.at)
+	}
 	var circuit *optical.Circuit
 	maxRetries := node.Brick.Ports.Total() + m.Ports.Total()
 	for retry := 0; ; retry++ {
-		cc, reconfig, cerr := t.connect(cpuPort, memPort)
+		cc, reconfig, cerr := link.connect(cpuPort, memPort)
 		if cerr == nil {
 			circuit = cc
 			lat += reconfig
 			break
 		}
 		var pf *optical.PortFailedError
-		if errors.As(cerr, &pf) && retry < maxRetries {
-			var reacquireErr error
-			if pf.Port == cpuPort {
-				if reacquireErr = node.Brick.Ports.Quarantine(cpuPort); reacquireErr == nil {
-					cpuPort, reacquireErr = node.Brick.Ports.Acquire()
-				}
-			} else {
-				if reacquireErr = m.Ports.Quarantine(memPort); reacquireErr == nil {
-					memPort, reacquireErr = m.Ports.Acquire()
-				}
+		fault := errors.As(cerr, &pf)
+		if fault && retry < maxRetries {
+			// A port swaps only once its replacement is held, so the
+			// unwind never releases a port the attach does not hold.
+			ports, held := node.Brick.Ports, &cpuPort
+			if pf.Port != cpuPort {
+				ports, held = m.Ports, &memPort
 			}
+			reacquireErr := ports.Quarantine(*held)
 			if reacquireErr == nil {
-				continue
+				var p topo.PortID
+				if p, reacquireErr = ports.Acquire(); reacquireErr == nil {
+					*held = p
+					continue
+				}
 			}
 			cerr = fmt.Errorf("sdm: circuit fault recovery exhausted ports: %w", reacquireErr)
 		}
 		m.Ports.Release(memPort)
 		m.Release(seg)
 		node.Brick.Ports.Release(cpuPort)
-		return fail(cerr)
+		return fail(lat, !fault, cerr)
 	}
 	// TGL window push via the SDM Agent.
 	window := tgl.Entry{
 		Base:       node.nextWindow,
 		Size:       uint64(size),
-		Dest:       memID,
+		Dest:       mem.at.Brick,
 		DestOffset: uint64(seg.Offset),
 		Port:       cpuPort,
 	}
 	if err := node.Agent.Glue.Attach(window); err != nil {
-		t.disconnect(circuit)
+		if _, derr := link.disconnect(circuit); derr != nil {
+			err = fmt.Errorf("sdm: attach failed (%v) and rollback failed: %w", err, derr)
+		}
 		m.Ports.Release(memPort)
 		m.Release(seg)
 		node.Brick.Ports.Release(cpuPort)
-		return fail(err)
+		return fail(lat, false, err)
 	}
 	node.nextWindow += uint64(size)
 	lat += c.cfg.AgentRTT
 	// Registration — final and infallible. The attachment comes from the
-	// rack's arena, so steady-state batch churn allocates no objects.
+	// compute rack's arena, so steady-state churn allocates no objects.
 	att := c.newAttachment()
 	att.Owner = owner
-	att.CPU = cpu
+	att.CPU = cpu.Brick
 	att.Segment = seg
 	att.Circuit = circuit
 	att.CPUPort = cpuPort
 	att.MemPort = memPort
 	att.Window = window
 	att.Mode = ModeCircuit
-	c.register(att)
-	c.circuitHosts[cpuOrd] = append(c.circuitHosts[cpuOrd], att)
+	st.enroll(att, cpu, mem.at)
 	return att, lat, nil
+}
+
+// enroll registers a new attachment from cpu to the memory end at mem:
+// on the compute rack's owner table, stamped with both endpoints at a
+// tier, and hosted at the site.
+func (st attachSite) enroll(att *Attachment, cpu, mem topo.RowBrickID) {
+	if t := st.tier; t != nil {
+		att.CPURack, att.MemRack = cpu.Rack, mem.Rack
+		if t.lvl == 1 {
+			att.CPUPod, att.MemPod = cpu.Pod, mem.Pod
+		}
+	}
+	st.rack.register(att)
+	st.host(att)
+}
+
+// host installs an attachment at the site: a circuit-mode one in the
+// host table the packet fallback searches, and at a tier every one
+// under the tier's tag at the tail of its walk order.
+func (st attachSite) host(att *Attachment) {
+	if att.Mode == ModeCircuit {
+		ord := st.rack.cpuPos(att.CPU)
+		st.hostTab[ord] = append(st.hostTab[ord], att)
+	}
+	att.cross = st.tier
+	if st.tier != nil {
+		st.tier.addCrossOrder(att)
+	}
+}
+
+// unhost reverses host for a circuit-mode attachment about to move.
+func (st attachSite) unhost(att *Attachment) {
+	ord := st.rack.cpuPos(att.CPU)
+	st.hostTab[ord] = dropAtt(st.hostTab[ord], att)
+	if st.tier != nil {
+		st.tier.cross.remove(att)
+	}
 }

@@ -5,8 +5,8 @@ package sdm
 // (each stamped with a seq from attachSeq), the tier's counters and its
 // spill count. A cross attachment's owner tag points here; lvl (0 pod,
 // 1 row) names the tier's host tables on the racks, and spec reaches
-// the owning scheduler — the detach site it builds and the re-point it
-// allows.
+// the owning scheduler — its spills' memory picks, the detach site it
+// builds and the re-point it allows.
 type crossTier struct {
 	tally
 	cross     crossList

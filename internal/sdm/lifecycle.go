@@ -1,16 +1,17 @@
 package sdm
 
 // The attachment lifecycle engine: the moves of a live remote-memory
-// attachment — cross-tier attach, re-point of the compute end, re-home
-// of the memory end, and the cross-rack→rack-local promotion the
-// rebalancer runs — execute as one AttachmentOp, a plan of reversible
-// steps committed atomically. The engine owns circuit setup and
-// teardown across the optical tiers (the rack fabric and the pod and
-// row switches' uplinks), the TGL window moves and rider safety;
-// reattach.go, rebalance.go, pod.go and tier.go are thin callers that
-// select resources, build a plan and commit it. Rack-local attach and
-// every detach run the inline bodies instead (attachLocal in batch.go,
-// detachSite.detach in teardown.go), which allocate nothing per call.
+// attachment — re-point of the compute end, re-home of the memory end,
+// and the cross-rack→rack-local promotion the rebalancer runs — execute
+// as one AttachmentOp, a plan of reversible steps committed atomically.
+// The engine re-terminates circuits across the optical tiers (the rack
+// fabric and the pod switch's uplinks), moves TGL windows and keeps
+// rider safety; reattach.go, rebalance.go and pod.go are thin callers
+// that select resources, build a plan, commit it, and re-host the moved
+// attachment through its attach sites (host and unhost). Attach and
+// detach run inline bodies instead, at every tier (attachSite.attach in
+// batch.go, detachSite.detach in teardown.go), which allocate nothing
+// per call.
 
 import (
 	"fmt"
@@ -84,11 +85,6 @@ type AttachmentOp struct {
 	steps []opStep
 	lat   sim.Duration
 
-	// att is the attachment the op produced (OpAttach only).
-	att *Attachment
-	// fallback marks failures caused by circuit-resource exhaustion —
-	// the cases where the caller may cascade into the packet fallback.
-	fallback bool
 	// err short-circuits Commit for plans that failed validation.
 	err error
 	// stepBuf/touchBuf are the inline backing arrays of steps and
@@ -102,11 +98,6 @@ type AttachmentOp struct {
 	// lifecycle engine the one choke point where scheduler indexes and
 	// brick state reconcile.
 	touches []func()
-}
-
-// failedOp returns a plan that refuses to commit.
-func failedOp(kind OpKind, err error) *AttachmentOp {
-	return &AttachmentOp{Kind: kind, err: err}
 }
 
 // newOp builds an empty plan whose step and touch slices alias the
@@ -171,8 +162,8 @@ func (op *AttachmentOp) Commit() (sim.Duration, error) {
 }
 
 // connector hides which optical tier carries a circuit: a rack's own
-// fabric or the pod switch. Plans connect and disconnect through it
-// without knowing the tier.
+// fabric or the pod or row switch. The attach and detach bodies and the
+// plans connect and disconnect through it without knowing the tier.
 type connector struct {
 	connect    func(a, b topo.PortID) (*optical.Circuit, sim.Duration, error)
 	disconnect func(*optical.Circuit) (sim.Duration, error)
@@ -241,149 +232,6 @@ func (c *Controller) unregister(att *Attachment) {
 			return
 		}
 	}
-}
-
-// memPick is the memory-end selection a tier's placement policy makes
-// for an attach plan: the brick, its rack, the rack's index in its pod
-// and the tier child holding it.
-type memPick struct {
-	rack    *Controller
-	rackIdx int
-	kid     int
-	brick   topo.BrickID
-}
-
-// planAttach builds the cross-tier attach plan of the tier body's
-// spill (attachCross), at the pod and row tiers alike: CPU-side port,
-// memory selection and power-up, segment carve, memory-side port,
-// circuit, TGL window, registration. pick applies the tier's placement
-// policy (returning exhausted=true when the failure should cascade into
-// the packet fallback); tierFor supplies the circuit fabric for the
-// chosen memory end; register installs the finished attachment into
-// the owning indexes and cannot fail. (Rack-local attaches run the
-// inline attachLocal body.)
-func planAttach(cfg Config, owner string, size brick.Bytes,
-	rackA *Controller, cpu topo.BrickID,
-	pick func() (memPick, bool, error),
-	tierFor func(memPick) connector,
-	register func(att *Attachment, mem memPick)) *AttachmentOp {
-
-	op := newOp(OpAttach)
-	node := rackA.compute(cpu)
-	if node == nil {
-		op.err = fmt.Errorf("sdm: no compute brick %v", cpu)
-		return op
-	}
-	if size == 0 {
-		op.err = fmt.Errorf("sdm: zero-size attachment")
-		return op
-	}
-	op.charge(cfg.DecisionLatency)
-
-	var (
-		cpuPort, memPort topo.PortID
-		chosen           memPick
-		m                *brick.Memory
-		seg              *brick.Segment
-		circuit          *optical.Circuit
-		window           tgl.Entry
-	)
-	op.touch(func() { rackA.touchCompute(cpu) })
-	op.touch(func() {
-		if chosen.rack != nil {
-			chosen.rack.touchMemory(chosen.brick)
-		}
-	})
-	// The CPU-side port is the scarcest resource: claim it before any
-	// memory brick is selected (and possibly powered on), so that port
-	// exhaustion falls back to packet mode without wasted boots.
-	op.step(func() (sim.Duration, error) {
-		p, err := node.Brick.Ports.Acquire()
-		if err != nil {
-			op.fallback = true
-			return 0, err
-		}
-		cpuPort = p
-		return 0, nil
-	}, func() error { node.Brick.Ports.Release(cpuPort); return nil })
-	// Memory selection and power-up.
-	op.step(func() (sim.Duration, error) {
-		var exhausted bool
-		var err error
-		chosen, exhausted, err = pick()
-		if err != nil {
-			op.fallback = exhausted
-			return 0, err
-		}
-		m = chosen.rack.memory(chosen.brick)
-		if m.State() == brick.PowerOff {
-			m.PowerOn()
-			chosen.rack.logBootMem(chosen.brick)
-			return cfg.BrickBoot, nil
-		}
-		return 0, nil
-	}, nil)
-	// Segment carve.
-	op.step(func() (sim.Duration, error) {
-		var err error
-		seg, err = m.Carve(size, owner)
-		return 0, err
-	}, func() error { m.Release(seg); return nil })
-	// Memory-side port.
-	op.step(func() (sim.Duration, error) {
-		p, err := m.Ports.Acquire()
-		if err != nil {
-			op.fallback = true
-			return 0, err
-		}
-		memPort = p
-		return 0, nil
-	}, func() error { m.Ports.Release(memPort); return nil })
-	// Circuit setup.
-	op.step(func() (sim.Duration, error) {
-		c, reconfig, err := tierFor(chosen).connect(cpuPort, memPort)
-		if err != nil {
-			op.fallback = true
-			return 0, err
-		}
-		circuit = c
-		return reconfig, nil
-	}, func() error {
-		_, err := tierFor(chosen).disconnect(circuit)
-		return err
-	})
-	// TGL window push via the SDM Agent.
-	op.step(func() (sim.Duration, error) {
-		window = tgl.Entry{
-			Base:       node.nextWindow,
-			Size:       uint64(size),
-			Dest:       chosen.brick,
-			DestOffset: uint64(seg.Offset),
-			Port:       cpuPort,
-		}
-		if err := node.Agent.Glue.Attach(window); err != nil {
-			return 0, err
-		}
-		node.nextWindow += uint64(size)
-		return cfg.AgentRTT, nil
-	}, func() error { return node.Agent.Glue.Detach(window.Base) })
-	// Registration — final and infallible. The attachment comes from the
-	// compute rack's arena, so steady-state churn allocates no objects.
-	op.step(func() (sim.Duration, error) {
-		att := rackA.newAttachment()
-		att.Owner = owner
-		att.CPU = cpu
-		att.Segment = seg
-		att.Circuit = circuit
-		att.CPUPort = cpuPort
-		att.MemPort = memPort
-		att.Window = window
-		att.Mode = ModeCircuit
-		op.att = att
-		register(op.att, chosen)
-		return 0, nil
-	}, nil)
-	return op
 }
 
 // planRepoint builds the compute-end move: the circuit and TGL window

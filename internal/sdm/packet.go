@@ -1,5 +1,11 @@
 package sdm
 
+// Packet mode, paper §III's fallback for low port counts: an attachment
+// rides another attachment's circuit to the same memory brick, steered
+// by the on-brick packet switches. The attach body (batch.go) cascades
+// into it at every tier when circuit resources run out; the rider
+// detaches through the one teardown body (teardown.go).
+
 import (
 	"fmt"
 
@@ -30,29 +36,34 @@ func (m AttachMode) String() string {
 	return "circuit"
 }
 
-// attachPacket carves a segment on a memory brick already reachable from
-// cpu over a live circuit and rides that circuit in packet mode. The
-// control path programs the packet-switch lookup tables on both bricks
-// (two agent pushes) instead of reconfiguring the optical switch, so it
-// is much faster on the control plane — the datapath pays instead (see
-// pktnet.RoundTrip vs. CircuitRoundTrip).
-func (c *Controller) attachPacket(owner string, cpu topo.BrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	node := c.compute(cpu)
-	// Find a host circuit: any live circuit-mode attachment from this
-	// compute brick to a memory brick with room. Iterate deterministically
-	// over this brick's live circuit attachments.
+// packet is the one packet-mode attach, at every tier: a segment
+// carved on a memory brick a live circuit of the site's host table
+// already reaches from cpu's brick, and the new attachment rides that
+// circuit. The control path programs the packet-switch lookup tables
+// on both bricks (two agent pushes) instead of reconfiguring an optical
+// switch, so it is much faster on the control plane — the datapath pays
+// instead (see pktnet.RoundTrip vs. CircuitRoundTrip).
+func (st attachSite) packet(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
+	c := st.rack
+	cpuOrd := c.cpuPos(cpu.Brick)
+	node := c.computes[cpuOrd]
+	// The first host, in attach order, whose memory brick has room.
 	var host *Attachment
-	for _, a := range c.circuitHosts[c.cpuPos(cpu)] {
-		m := c.memory(a.Segment.Brick)
-		if m.LargestGap() >= size {
-			host = a
+	var memRack *Controller
+	for _, a := range st.hostTab[cpuOrd] {
+		r := c
+		if st.tier != nil {
+			r = st.tier.spec.rackOf(a.memAt())
+		}
+		if r.memory(a.Segment.Brick).LargestGap() >= size {
+			host, memRack = a, r
 			break
 		}
 	}
 	if host == nil {
-		return nil, 0, fmt.Errorf("sdm: packet fallback: no live circuit from %v to a memory brick with %v contiguous free", cpu, size)
+		return nil, 0, fmt.Errorf("sdm: packet fallback: no live circuit from %v to a memory brick with %v contiguous free", cpu.Brick, size)
 	}
-	m := c.memory(host.Segment.Brick)
+	m := memRack.memory(host.Segment.Brick)
 	seg, err := m.Carve(size, owner)
 	if err != nil {
 		return nil, 0, err
@@ -72,7 +83,7 @@ func (c *Controller) attachPacket(owner string, cpu topo.BrickID, size brick.Byt
 
 	att := c.newAttachment()
 	att.Owner = owner
-	att.CPU = cpu
+	att.CPU = cpu.Brick
 	att.Segment = seg
 	att.Circuit = host.Circuit
 	att.CPUPort = host.CPUPort
@@ -80,8 +91,8 @@ func (c *Controller) attachPacket(owner string, cpu topo.BrickID, size brick.Byt
 	att.Window = window
 	att.Mode = ModePacket
 	host.Circuit.Riders++
-	c.register(att)
-	c.touchMemory(host.Segment.Brick)
+	st.enroll(att, cpu, host.memAt())
+	memRack.touchMemory(host.Segment.Brick)
 	// Two lookup-table pushes: compute-brick switch and memory-brick
 	// glue, plus the decision that found the host circuit.
 	return att, c.cfg.DecisionLatency + 2*c.cfg.AgentRTT, nil

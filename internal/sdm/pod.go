@@ -206,12 +206,14 @@ func (s *PodScheduler) fitsMemory(size brick.Bytes) bool {
 	_, ok := s.pickMemory(size, -1)
 	return ok
 }
-func (s *PodScheduler) pickMem(size brick.Bytes, _ int) (memPick, bool) {
+func (s *PodScheduler) pickMem(size brick.Bytes, self int) (memPick, bool) {
 	r, ok := s.pickMemory(size, -1)
 	if !ok {
 		return memPick{}, false
 	}
-	return s.racks[r].pickMem(size, r)
+	m, ok := s.racks[r].pickMem(size, r)
+	m.at.Pod = self
+	return m, ok
 }
 func (s *PodScheduler) rackAt(i int) *Controller { return s.racks[i] }
 func (s *PodScheduler) hasRack(i int) bool       { return i >= 0 && i < len(s.racks) }
@@ -241,7 +243,7 @@ func (s *PodScheduler) crossLink(cpu, mem topo.RowBrickID) connector {
 // rb: the rack's own fabric when they coincide, the pod switch (one
 // uplink per endpoint rack) otherwise. Cross-rack connectors are cached
 // per rack pair — circuit setup runs on every spill, so the closures
-// are built once, not per plan.
+// are built once, not per attach.
 func (s *PodScheduler) link(ra, rb int) connector {
 	if ra == rb {
 		return s.racks[ra].rackTier()
@@ -313,7 +315,6 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 		s.failures++
 		return tgl.Entry{}, 0, err
 	}
-	wasCross := att.CrossRack()
 	op := planRepoint(s.cfg, att, oldRack, newRack, newCPU.Brick,
 		s.link(att.CPURack, att.MemRack), s.link(newCPU.Rack, att.MemRack),
 		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
@@ -323,26 +324,13 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 				oldRack.unregister(att)
 				newRack.register(att)
 			}
-			if wasCross {
-				s.removeCrossHost(att)
-				s.cross.remove(att)
-			} else {
-				oldRack.removeCircuitHost(att)
-			}
+			s.siteOf(att).unhost(att)
 			att.CPU = newCPU.Brick
 			att.CPUPort = newCPUPort
 			att.Circuit = circuit
 			att.Window = window
 			att.CPURack = newCPU.Rack
-			ord := newRack.cpuPos(newCPU.Brick)
-			if att.CrossRack() {
-				att.cross = &s.crossTier
-				newRack.crossHosts[0][ord] = append(newRack.crossHosts[0][ord], att)
-				s.addCrossOrder(att)
-			} else {
-				att.cross = nil
-				newRack.circuitHosts[ord] = append(newRack.circuitHosts[ord], att)
-			}
+			s.siteOf(att).host(att)
 		})
 	lat, err := op.Commit()
 	if err != nil {
@@ -352,11 +340,12 @@ func (s *PodScheduler) Repoint(att *Attachment, newCPU topo.PodBrickID) (tgl.Ent
 	return att.Window, lat, nil
 }
 
-// removeCrossHost drops a cross-rack circuit attachment from the
-// fallback host index.
-func (s *PodScheduler) removeCrossHost(att *Attachment) {
-	r := s.racks[att.CPURack]
-	hosts := r.crossHosts[0]
-	ord := r.cpuPos(att.CPU)
-	hosts[ord] = dropAtt(hosts[ord], att)
+// siteOf is the attach site hosting a circuit attachment by its
+// endpoints: the pod's own when they sit on different racks, the
+// compute rack's otherwise.
+func (s *PodScheduler) siteOf(att *Attachment) attachSite {
+	if att.CrossRack() {
+		return s.spillSite(att.cpuAt())
+	}
+	return s.racks[att.CPURack].rackSite()
 }

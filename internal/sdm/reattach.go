@@ -67,13 +67,13 @@ func (c *Controller) ReattachRemoteMemory(att *Attachment, newCPU topo.BrickID) 
 	}
 	op := planRepoint(c.cfg, att, c, c, newCPU, c.rackTier(), c.rackTier(),
 		func(newCPUPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
-			c.removeCircuitHost(att)
+			site := c.rackSite()
+			site.unhost(att)
 			att.CPU = newCPU
 			att.CPUPort = newCPUPort
 			att.Circuit = circuit
 			att.Window = window
-			ord := c.cpuPos(newCPU)
-			c.circuitHosts[ord] = append(c.circuitHosts[ord], att)
+			site.host(att)
 		})
 	lat, err := op.Commit()
 	if err != nil {

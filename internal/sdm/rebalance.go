@@ -104,25 +104,20 @@ func (s *PodScheduler) Rehome(att *Attachment, targetRack int) (sim.Duration, er
 		func() (topo.BrickID, bool) { return newMemRack.pickMemory(att.Size()) },
 		s.link(att.CPURack, att.MemRack), s.link(att.CPURack, targetRack),
 		func(newMem topo.BrickID, seg *brick.Segment, memPort topo.PortID, circuit *optical.Circuit, window tgl.Entry) {
+			from := s.siteOf(att)
 			att.Segment = seg
 			att.MemPort = memPort
 			att.Circuit = circuit
 			att.Window = window
 			att.MemRack = targetRack
-			nowCross := att.CrossRack()
-			ord := rackA.cpuPos(att.CPU)
-			switch {
-			case wasCross && !nowCross:
-				s.removeCrossHost(att)
-				s.cross.remove(att)
-				att.cross = nil
-				rackA.circuitHosts[ord] = append(rackA.circuitHosts[ord], att)
-				s.promoted++
-			case !wasCross && nowCross:
-				rackA.removeCircuitHost(att)
-				att.cross = &s.crossTier
-				rackA.crossHosts[0][ord] = append(rackA.crossHosts[0][ord], att)
-				s.addCrossOrder(att)
+			// A sideways re-spill keeps its host and its place in the walk
+			// order; crossing the rack boundary either way re-hosts.
+			if att.CrossRack() != wasCross {
+				from.unhost(att)
+				s.siteOf(att).host(att)
+				if wasCross {
+					s.promoted++
+				}
 			}
 		})
 	lat, err := op.Commit()

@@ -15,6 +15,13 @@ import (
 // and one memory brick each) for scheduler tests.
 func buildRowSched(t *testing.T, pods, racks int, memCap brick.Bytes, cfg Config) *RowScheduler {
 	t.Helper()
+	return buildRowSchedUplinks(t, pods, racks, memCap, optical.DefaultRowProfile.UplinksPerPod, cfg)
+}
+
+// buildRowSchedUplinks is buildRowSched with a configurable row-switch
+// uplink count per pod.
+func buildRowSchedUplinks(t *testing.T, pods, racks int, memCap brick.Bytes, uplinks int, cfg Config) *RowScheduler {
+	t.Helper()
 	row, err := topo.BuildRow(pods, racks, topo.BuildSpec{
 		Trays: 1, ComputePerTray: 1, MemoryPerTray: 1, AccelPerTray: 0, PortsPerBrick: 4,
 	})
@@ -37,7 +44,9 @@ func buildRowSched(t *testing.T, pods, racks int, memCap brick.Bytes, cfg Config
 			t.Fatal(err)
 		}
 	}
-	rf, err := optical.NewRowFabric(optical.DefaultRowProfile, podFabrics)
+	prof := optical.DefaultRowProfile
+	prof.UplinksPerPod = uplinks
+	rf, err := optical.NewRowFabric(prof, podFabrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +82,74 @@ func rowFingerprint(t *testing.T, s *RowScheduler, counters bool) string {
 	}
 	fmt.Fprintf(&b, "rowCircuits=%d\n", s.Fabric().CrossCircuits())
 	return b.String()
+}
+
+// TestRowPacketFallbackAcrossTier exhausts the row uplinks so the next
+// cross-pod spill rides an existing cross-pod circuit in packet mode.
+func TestRowPacketFallbackAcrossTier(t *testing.T) {
+	cfg := DefaultConfig
+	cfg.PacketFallback = true
+	s := buildRowSchedUplinks(t, 2, 1, 4*brick.GiB, 1, cfg)
+	cpu, _, err := s.ReserveCompute("vm", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the home pod's 4 GiB brick, then spill twice: the first
+	// takes the only uplink pair, the second must ride it.
+	if _, _, err := s.AttachRemoteMemory("vm", cpu, 4*brick.GiB); err != nil {
+		t.Fatal(err)
+	}
+	host, _, err := s.AttachRemoteMemory("vm", cpu, brick.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !host.CrossPod() || host.Mode != ModeCircuit {
+		t.Fatal("expected a cross-pod circuit spill first")
+	}
+	if free := s.Fabric().FreeUplinks(0); free != 0 {
+		t.Fatalf("home pod free uplinks = %d, want 0", free)
+	}
+	rider, lat, err := s.AttachRemoteMemory("vm", cpu, brick.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rider.Mode != ModePacket || !rider.CrossPod() || rider.Circuit != host.Circuit {
+		t.Fatalf("expected a packet-mode rider on the cross-pod circuit, got mode=%v pod=%d", rider.Mode, rider.MemPod)
+	}
+	if rider.MemPod != host.MemPod || rider.MemRack != host.MemRack || rider.Segment.Brick != host.Segment.Brick {
+		t.Fatal("rider's memory end is not its host's")
+	}
+	// The spill decision plus the fallback's own table pushes — the same
+	// composition the rack-local packet fallback charges.
+	if want := 2*cfg.DecisionLatency + 2*cfg.AgentRTT; lat != want {
+		t.Fatalf("packet fallback latency = %v, want %v", lat, want)
+	}
+	if _, _, spills := s.Stats(); spills != 2 {
+		t.Fatalf("row spills = %d, want 2", spills)
+	}
+	// Rider accounting routes through the rack controller too.
+	if n := s.Pod(0).Rack(0).Riders(host); n != 1 {
+		t.Fatalf("riders = %d, want 1", n)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The ridden circuit refuses teardown until the rider detaches.
+	if _, err := s.DetachRemoteMemory(host); err == nil {
+		t.Fatal("ridden cross-pod circuit torn down")
+	}
+	if _, err := s.DetachRemoteMemory(rider); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DetachRemoteMemory(host); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Fabric().CrossCircuits(); n != 0 {
+		t.Fatalf("cross-pod circuits = %d after teardown, want 0", n)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRowSpillCrossPod is the row acceptance scenario: a VM whose home

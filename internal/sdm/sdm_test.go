@@ -189,6 +189,37 @@ func TestAttachRollbackOnPortExhaustion(t *testing.T) {
 	}
 }
 
+// TestAttachFaultRecoveryKeepsLivePorts exhausts fault recovery on a
+// compute brick whose remaining ports all fail: the unwind must release
+// only ports the attach itself still holds, never a live attachment's.
+func TestAttachFaultRecoveryKeepsLivePorts(t *testing.T) {
+	c := testRack(t, PolicyPowerAware)
+	cpu, _, _ := c.ReserveCompute("vm1", 1, 0)
+	if cpu != (topo.BrickID{}) {
+		t.Fatalf("reserved %v, want the first compute brick", cpu)
+	}
+	live, _, err := c.AttachRemoteMemory("vm1", cpu, brick.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 1; p < 8; p++ {
+		failSwitchPortBehind(t, c, topo.PortID{Brick: cpu, Port: p})
+	}
+	if _, _, err := c.AttachRemoteMemory("vm1", cpu, brick.GiB); err == nil {
+		t.Fatal("attach succeeded with every spare CPU port dead")
+	}
+	node, _ := c.Compute(cpu)
+	if !node.Brick.Ports.InUse(live.CPUPort.Port) {
+		t.Fatalf("failed attach released the live attachment's port %v", live.CPUPort)
+	}
+	if q := node.Brick.Ports.Quarantined(); q != 7 {
+		t.Fatalf("quarantined = %d, want 7", q)
+	}
+	if _, err := c.DetachRemoteMemory(live); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAttachValidation(t *testing.T) {
 	c := testRack(t, PolicyPowerAware)
 	cpu, _, _ := c.ReserveCompute("vm1", 1, 0)

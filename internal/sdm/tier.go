@@ -8,9 +8,11 @@ package sdm
 //     answers — free cores, free memory, max gap and the can-place
 //     screens — plus one confirming pick per surviving candidate.
 //   - A memory request the VM's child cannot serve spills across the
-//     tier's own circuit switch (attachCross), and when no cross
-//     circuit can be provisioned it rides an existing one of the same
-//     compute brick in packet mode (attachPacketCross).
+//     tier's own circuit switch. The spill runs the one attach body at
+//     the tier's attach site (spillSite): its circuit crosses the
+//     tier's switch, and when none can be provisioned the attachment
+//     rides an existing cross circuit of the same compute brick in
+//     packet mode.
 //   - Cross attachments register on their compute rack, carry the
 //     owning tier's crossTier as their tag, and detach through the
 //     site that tier builds (crossSite), from any entry point.
@@ -81,9 +83,12 @@ type child interface {
 // tierSpec is what stays tier-specific, implemented by PodScheduler
 // and RowScheduler.
 type tierSpec interface {
-	// crossSite is the tier body's own (promoted); it is here so an
-	// attachment's owner tag can reach it.
+	// crossSite, pickSpill and rackOf are the tier body's own
+	// (promoted); they are here so an attachment's owner tag, and the
+	// attach site of a spill, can reach them.
 	crossSite(att *Attachment) detachSite
+	pickSpill(size brick.Bytes, home int) (memPick, bool, error)
+	rackOf(l topo.RowBrickID) *Controller
 	// crossLink is the circuit tier joining two row-wide endpoints.
 	crossLink(cpu, mem topo.RowBrickID) connector
 	admitWaves(workers int)
@@ -142,14 +147,6 @@ func (t *tier[C]) stampKids(att *Attachment, cpuKid, memKid int) {
 	} else {
 		att.CPUPod, att.MemPod = cpuKid, memKid
 	}
-}
-
-// idOf is l as the tier's exported ID type, for error texts.
-func (t *tier[C]) idOf(l topo.RowBrickID) fmt.Stringer {
-	if t.lvl == 0 {
-		return topo.PodBrickID{Rack: l.Rack, Brick: l.Brick}
-	}
-	return l
 }
 
 // badLoc describes why l names no compute location of this tier, or
@@ -393,7 +390,7 @@ func (t *tier[C]) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*
 			return att, lat, nil
 		}
 	}
-	att, lat, err := t.attachCross(owner, cpu, size)
+	att, lat, err := t.spillSite(cpu).attach(owner, cpu, size, false)
 	if err != nil {
 		if localErr == nil {
 			localErr = t.noGapErr(cpu, size)
@@ -405,110 +402,26 @@ func (t *tier[C]) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*
 	return att, lat, nil
 }
 
-// attachCross provisions an attachment across this tier: a segment in
-// another child, a circuit through the tier's switch, and the TGL
-// window on the home rack's compute brick — one OpAttach through the
-// lifecycle engine, so every completed step rolls back on failure.
-// Exhaustion of circuit resources cascades into the packet fallback.
-func (t *tier[C]) attachCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	k, rackA := t.kidOf(cpu), t.rackOf(cpu)
-	op := planAttach(t.cfg, owner, size, rackA, cpu.Brick,
-		func() (memPick, bool, error) {
-			n := tierNames[t.lvl]
-			mk, ok := t.pickMemory(size, k)
-			if !ok {
-				return memPick{}, true, fmt.Errorf("sdm: no %s in the %s with %v contiguous free and a spare port", n.kid, n.tier, size)
-			}
-			pick, ok := t.kids[mk].pickMem(size, mk)
-			if !ok {
-				return memPick{}, false, fmt.Errorf("sdm: %s %d memory vanished mid-selection", n.kid, mk)
-			}
-			pick.kid = mk
-			return pick, false, nil
-		},
-		func(m memPick) connector {
-			return t.spec.crossLink(cpu, topo.RowBrickID{Pod: m.kid, Rack: m.rackIdx})
-		},
-		func(att *Attachment, m memPick) {
-			att.CPURack, att.MemRack = cpu.Rack, m.rackIdx
-			t.stampKids(att, k, m.kid)
-			att.cross = &t.crossTier
-			rackA.register(att)
-			hosts := rackA.crossHosts[t.lvl]
-			ord := rackA.cpuPos(cpu.Brick)
-			hosts[ord] = append(hosts[ord], att)
-			t.addCrossOrder(att)
-		})
-	lat, err := op.Commit()
-	if err != nil {
-		if op.fallback {
-			if att, fl, ferr := t.attachPacketCross(owner, cpu, size); ferr == nil {
-				return att, lat + fl, nil
-			}
-		}
-		return nil, 0, err
-	}
-	return op.att, lat, nil
+// spillSite is the attach site of a spill across this tier from cpu.
+func (t *tier[C]) spillSite(cpu topo.RowBrickID) attachSite {
+	r := t.rackOf(cpu)
+	return attachSite{rack: r, tier: &t.crossTier, kid: t.kidOf(cpu), hostTab: r.crossHosts[t.lvl]}
 }
 
-// attachPacketCross preserves the packet fallback across the tier: the
-// new attachment rides an existing cross circuit from the same compute
-// brick, with the on-brick packet switches steering its transactions —
-// two lookup-table pushes instead of a switch reconfiguration.
-func (t *tier[C]) attachPacketCross(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	if !t.cfg.PacketFallback {
-		return nil, 0, fmt.Errorf("sdm: packet fallback disabled")
+// pickSpill selects the memory end of a spill from child home: the
+// child by the tier's policy, the brick by that child's. exhausted
+// marks a failure the packet fallback may absorb.
+func (t *tier[C]) pickSpill(size brick.Bytes, home int) (memPick, bool, error) {
+	n := tierNames[t.lvl]
+	k, ok := t.pickMemory(size, home)
+	if !ok {
+		return memPick{}, true, fmt.Errorf("sdm: no %s in the %s with %v contiguous free and a spare port", n.kid, n.tier, size)
 	}
-	rackA := t.rackOf(cpu)
-	node := rackA.compute(cpu.Brick)
-	var host *Attachment
-	var memRack *Controller
-	for _, a := range rackA.crossHosts[t.lvl][rackA.cpuPos(cpu.Brick)] {
-		r := t.rackOf(a.memAt())
-		if r.memory(a.Segment.Brick).LargestGap() >= size {
-			host, memRack = a, r
-			break
-		}
+	pick, ok := t.kids[k].pickMem(size, k)
+	if !ok {
+		return memPick{}, false, fmt.Errorf("sdm: %s %d memory vanished mid-selection", n.kid, k)
 	}
-	if host == nil {
-		n := tierNames[t.lvl]
-		return nil, 0, fmt.Errorf("sdm: %s packet fallback: no live %scircuit from %v to a memory brick with %v contiguous free", n.tier, n.site, t.idOf(cpu), size)
-	}
-	m := memRack.memory(host.Segment.Brick)
-	seg, err := m.Carve(size, owner)
-	if err != nil {
-		return nil, 0, err
-	}
-	window := tgl.Entry{
-		Base:       node.nextWindow,
-		Size:       uint64(size),
-		Dest:       host.Segment.Brick,
-		DestOffset: uint64(seg.Offset),
-		Port:       host.CPUPort, // shares the host circuit's port
-	}
-	if err := node.Agent.Glue.Attach(window); err != nil {
-		m.Release(seg)
-		return nil, 0, err
-	}
-	node.nextWindow += window.Size
-
-	att := rackA.newAttachment()
-	att.Owner = owner
-	att.CPU = cpu.Brick
-	att.Segment = seg
-	att.Circuit = host.Circuit
-	att.CPUPort = host.CPUPort
-	att.MemPort = host.MemPort
-	att.Window = window
-	att.Mode = ModePacket
-	att.CPURack, att.MemRack = cpu.Rack, host.MemRack
-	t.stampKids(att, t.kidOf(cpu), t.kidOf(host.memAt()))
-	att.cross = &t.crossTier
-	host.Circuit.Riders++
-	rackA.register(att)
-	t.addCrossOrder(att)
-	memRack.touchMemory(host.Segment.Brick)
-	return att, t.cfg.DecisionLatency + 2*t.cfg.AgentRTT, nil
+	return pick, false, nil
 }
 
 // DetachRemoteMemory tears an attachment down: cross ones through the
@@ -635,7 +548,7 @@ func (c *Controller) fitsMemory(size brick.Bytes) bool {
 }
 func (c *Controller) pickMem(size brick.Bytes, self int) (memPick, bool) {
 	id, ok := c.pickMemory(size)
-	return memPick{rack: c, rackIdx: self, brick: id}, ok
+	return memPick{rack: c, at: topo.RowBrickID{Rack: self, Brick: id}}, ok
 }
 func (c *Controller) rackAt(int) *Controller { return c }
 func (c *Controller) hasRack(int) bool       { return true }
@@ -665,7 +578,7 @@ func (c *Controller) releaseIn(id topo.RowBrickID, vcpus int, localMem brick.Byt
 	return c.ReleaseCompute(id.Brick, vcpus, localMem)
 }
 func (c *Controller) attachIn(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
-	return c.attachLocal(owner, cpu.Brick, size, false)
+	return c.rackSite().attach(owner, cpu, size, false)
 }
 func (c *Controller) doom(topo.RowBrickID) {
 	c.requests++

@@ -396,7 +396,7 @@ func (t *tier[C]) merge(reqs []AdmitRequest, out []AdmitResult, shard bool) erro
 			}
 			return t.abortBatch(reqs, out, i, res.Err)
 		}
-		att, lat, err := t.attachCross(req.Owner, res.at(), req.Remote)
+		att, lat, err := t.spillSite(res.at()).attach(req.Owner, res.at(), req.Remote, false)
 		if err != nil {
 			localErr := res.localErr
 			if localErr == nil {
