@@ -327,9 +327,9 @@ func benchRow(b *testing.B, pods int) *sdm.RowScheduler {
 // row-scale Fig. 10 sweep: bursts of 256 full admissions (pod choice +
 // rack choice + compute carve + remote attachment) group-committed
 // against 8, 16 and 32 pods of 32 racks each — 256 to 1024 racks. Pod
-// choice is O(1) arithmetic over the per-pod aggregates and the spill
-// partitioner is O(pods), so placements/s must hold (>= 100k, gated by
-// bench-check) as the rack count quadruples. Teardown between
+// and rack choice are descents of the row's and the pod's placement
+// indexes, O(log pods) and O(log racks) per pick, so placements/s must
+// hold (>= 100k, gated by bench-check) as the rack count quadruples. Teardown between
 // iterations runs through EvictBatch off the admission timer but on
 // its own clock, so the group-commit teardown throughput is gated too.
 func BenchmarkFig10Row(b *testing.B) {

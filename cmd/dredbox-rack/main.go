@@ -337,8 +337,8 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 	}
 
 	// The scheduler's per-rack free aggregates — O(1) reads off each
-	// rack controller's placement-index root, the quantities pod-tier
-	// rack choice is arithmetic over.
+	// rack controller's placement-index roots, the leaves of the pod's
+	// index that rack choice descends.
 	fmt.Println("== per-rack free aggregates (placement-index roots) ==")
 	for i := 0; i < pod.Racks(); i++ {
 		r := pod.Scheduler().Rack(i)
@@ -374,8 +374,8 @@ func podTour(racks int, seed uint64, journalCap int, jsonOut, rebalance bool, bu
 // racks assembled into -pods pods under the row circuit switch. The db
 // VM's scale-ups walk the whole spill cascade — home rack, cross-rack
 // inside the pod, then cross-pod through the row switch — and the
-// closing section reads the per-pod aggregates pod choice is O(1)
-// arithmetic over. -burst group-commits a VM burst across pod shards;
+// closing section reads the pod index roots that pod choice descends
+// over. -burst group-commits a VM burst across pod shards;
 // -drain tears it back down and consolidates every pod.
 func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst int, drain bool, workers, pipeline int) {
 	cfg := core.DefaultRowConfig(pods, racks)
@@ -527,8 +527,8 @@ func rowTour(pods, racks int, seed uint64, journalCap int, jsonOut bool, burst i
 		}
 	}
 
-	// The per-pod summaries rolled up from the rack index roots — the
-	// quantities row-tier pod choice is O(1) arithmetic over.
+	// Each pod's index roots, whose leaves are its racks' roots — the
+	// leaves of the row's index, which row-tier pod choice descends.
 	fmt.Println("== per-pod aggregates (rolled up from rack index roots) ==")
 	s := row.Scheduler()
 	for p := 0; p < row.Pods(); p++ {

@@ -472,9 +472,9 @@ func sumConsolidation(a, b sdm.ConsolidationReport) sdm.ConsolidationReport {
 // PowerOffIdle sweeps every pod and returns the total bricks stopped.
 func (r *Row) PowerOffIdle() int { return r.sched.PowerOffIdle() }
 
-// Census returns the row-wide power census for a brick kind, read from
-// the O(pods) hierarchical aggregates when the indexes are on.
-func (r *Row) Census(kind topo.BrickKind) sdm.PowerCensus { return r.sched.AggCensus(kind) }
+// Census returns the row-wide power census for a brick kind, read at
+// the row's index roots when the indexes are on.
+func (r *Row) Census(kind topo.BrickKind) sdm.PowerCensus { return r.sched.Census(kind) }
 
 // DrawW returns the row's current electrical draw (pods plus the row
 // switch).

@@ -84,8 +84,9 @@ type Fabric struct {
 	// circuits is indexed by switch port — attach assigns them densely,
 	// so the busy check and registration on the Connect/Disconnect hot
 	// path are array loads instead of struct-keyed map operations. live
-	// counts registered endpoints (cross-tier circuits register one
-	// endpoint per rack fabric), preserving the old map-length census.
+	// counts the rack-local circuits; cross-tier circuits register one
+	// endpoint per rack fabric but are counted by their tier's
+	// CrossCircuits.
 	circuits []*Circuit
 	live     int
 	// free is the circuit arena: Disconnect (and the cross-tier
@@ -207,7 +208,7 @@ func (f *Fabric) Connect(a, b topo.PortID) (*Circuit, sim.Duration, error) {
 	c.FiberMeters = f.DefaultFiberMeters
 	f.circuits[swA] = c
 	f.circuits[swB] = c
-	f.live += 2
+	f.live++
 	return c, f.sw.Config().ReconfigTime, nil
 }
 
@@ -244,7 +245,7 @@ func (f *Fabric) Disconnect(c *Circuit) (sim.Duration, error) {
 	}
 	f.circuits[c.swA] = nil
 	f.circuits[c.swB] = nil
-	f.live -= 2
+	f.live--
 	f.recycle(c)
 	return f.sw.Config().ReconfigTime, nil
 }
@@ -258,5 +259,6 @@ func (f *Fabric) CircuitAt(p topo.PortID) (*Circuit, bool) {
 	return f.circuits[sp], true
 }
 
-// LiveCircuits returns the number of live circuits.
-func (f *Fabric) LiveCircuits() int { return f.live / 2 }
+// LiveCircuits returns the number of live rack-local circuits; a
+// cross-tier circuit ending here counts in its tier's CrossCircuits.
+func (f *Fabric) LiveCircuits() int { return f.live }

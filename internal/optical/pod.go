@@ -81,6 +81,9 @@ type PodFabric struct {
 
 	// uplinkBusy[r][j] marks pod-switch port r*UplinksPerRack+j in use.
 	uplinkBusy [][]bool
+	// noUplink[i] is rack i's uplink-exhaustion error, built once so a
+	// packet-mode spill that finds the uplinks full allocates nothing.
+	noUplink []error
 	// crossLive counts live cross-rack circuits. Each circuit carries its
 	// own route state (endpoint racks and uplinks), so teardown is field
 	// reads instead of a pointer-keyed route map.
@@ -98,14 +101,17 @@ func NewPodFabric(prof PodProfile, racks []*Fabric) (*PodFabric, error) {
 		return nil, err
 	}
 	busy := make([][]bool, len(racks))
+	noUplink := make([]error, len(racks))
 	for i := range busy {
 		busy[i] = make([]bool, prof.UplinksPerRack)
+		noUplink[i] = fmt.Errorf("optical: rack %d has no free pod uplinks (%d total)", i, prof.UplinksPerRack)
 	}
 	return &PodFabric{
 		prof:       prof,
 		racks:      racks,
 		pod:        pod,
 		uplinkBusy: busy,
+		noUplink:   noUplink,
 	}, nil
 }
 
@@ -156,7 +162,7 @@ func (pf *PodFabric) acquireUplink(i int) (int, error) {
 			return j, nil
 		}
 	}
-	return 0, fmt.Errorf("optical: rack %d has no free pod uplinks (%d total)", i, pf.prof.UplinksPerRack)
+	return 0, pf.noUplink[i]
 }
 
 // ConnectCross provisions a cross-rack circuit between brick port a on
@@ -213,8 +219,6 @@ func (pf *PodFabric) ConnectCross(ra int, a topo.PortID, rb int, b topo.PortID) 
 	// only one endpoint), forcing teardown through DisconnectCross.
 	fa.circuits[swA] = c
 	fb.circuits[swB] = c
-	fa.live++
-	fb.live++
 	c.xTier = xTierPod
 	c.xRackA, c.xRackB = int32(ra), int32(rb)
 	c.xUpA, c.xUpB = int32(upA), int32(upB)
@@ -244,8 +248,6 @@ func (pf *PodFabric) DisconnectCross(c *Circuit) (sim.Duration, error) {
 	fa, fb := pf.racks[rackA], pf.racks[rackB]
 	fa.circuits[c.swA] = nil
 	fb.circuits[c.swB] = nil
-	fa.live--
-	fb.live--
 	pf.uplinkBusy[rackA][upA] = false
 	pf.uplinkBusy[rackB][upB] = false
 	pf.crossLive--

@@ -134,3 +134,43 @@ func TestPodFabricSameRackRefused(t *testing.T) {
 		t.Fatal("same-rack cross circuit accepted")
 	}
 }
+
+// TestLiveCircuitsCountsRackLocalOnly: a rack fabric's LiveCircuits
+// counts its own circuits only; the ends of cross-rack circuits it
+// carries count once each, in the pod's CrossCircuits.
+func TestLiveCircuitsCountsRackLocalOnly(t *testing.T) {
+	pf := testPodFabric(t, 2, 4)
+	port := func(slot, p int) topo.PortID { return topo.PortID{Brick: topo.BrickID{Tray: 0, Slot: slot}, Port: p} }
+	local, _, err := pf.Rack(0).Connect(port(0, 0), port(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cross []*Circuit
+	for p := 1; p <= 2; p++ {
+		c, _, err := pf.ConnectCross(0, port(0, p), 1, port(0, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cross = append(cross, c)
+	}
+	if got := pf.Rack(0).LiveCircuits(); got != 1 {
+		t.Fatalf("rack 0 LiveCircuits = %d with one local circuit and two cross-rack ends, want 1", got)
+	}
+	if got := pf.Rack(1).LiveCircuits(); got != 0 {
+		t.Fatalf("rack 1 LiveCircuits = %d with only cross-rack ends, want 0", got)
+	}
+	if got := pf.CrossCircuits(); got != 2 {
+		t.Fatalf("CrossCircuits = %d, want 2", got)
+	}
+	for _, c := range cross {
+		if _, err := pf.DisconnectCross(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pf.Rack(0).Disconnect(local); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := pf.Rack(0).LiveCircuits(), pf.Rack(1).LiveCircuits(); a != 0 || b != 0 {
+		t.Fatalf("LiveCircuits after teardown = (%d, %d), want (0, 0)", a, b)
+	}
+}

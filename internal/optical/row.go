@@ -81,6 +81,9 @@ type RowFabric struct {
 
 	// uplinkBusy[p][j] marks row-switch port p*UplinksPerPod+j in use.
 	uplinkBusy [][]bool
+	// noUplink[i] is pod i's uplink-exhaustion error, built once so a
+	// packet-mode spill that finds the uplinks full allocates nothing.
+	noUplink []error
 	// crossLive counts live cross-pod circuits. Each circuit carries its
 	// own route state (endpoint pods, racks and uplinks), so teardown is
 	// field reads instead of a pointer-keyed route map.
@@ -98,14 +101,17 @@ func NewRowFabric(prof RowProfile, pods []*PodFabric) (*RowFabric, error) {
 		return nil, err
 	}
 	busy := make([][]bool, len(pods))
+	noUplink := make([]error, len(pods))
 	for i := range busy {
 		busy[i] = make([]bool, prof.UplinksPerPod)
+		noUplink[i] = fmt.Errorf("optical: pod %d has no free row uplinks (%d total)", i, prof.UplinksPerPod)
 	}
 	return &RowFabric{
 		prof:       prof,
 		pods:       pods,
 		row:        row,
 		uplinkBusy: busy,
+		noUplink:   noUplink,
 	}, nil
 }
 
@@ -156,7 +162,7 @@ func (rf *RowFabric) acquireUplink(i int) (int, error) {
 			return j, nil
 		}
 	}
-	return 0, fmt.Errorf("optical: pod %d has no free row uplinks (%d total)", i, rf.prof.UplinksPerPod)
+	return 0, rf.noUplink[i]
 }
 
 // ConnectCross provisions a cross-pod circuit between brick port a on
@@ -219,8 +225,6 @@ func (rf *RowFabric) ConnectCross(pa int, ra int, a topo.PortID, pb int, rb int,
 	// teardown through RowFabric.DisconnectCross.
 	fa.circuits[swA] = c
 	fb.circuits[swB] = c
-	fa.live++
-	fb.live++
 	c.xTier = xTierRow
 	c.xPodA, c.xPodB = int32(pa), int32(pb)
 	c.xRackA, c.xRackB = int32(ra), int32(rb)
@@ -252,8 +256,6 @@ func (rf *RowFabric) DisconnectCross(c *Circuit) (sim.Duration, error) {
 	fb := rf.pods[podB].racks[c.xRackB]
 	fa.circuits[c.swA] = nil
 	fb.circuits[c.swB] = nil
-	fa.live--
-	fb.live--
 	rf.uplinkBusy[podA][upA] = false
 	rf.uplinkBusy[podB][upB] = false
 	rf.crossLive--

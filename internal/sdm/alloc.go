@@ -2,6 +2,7 @@ package sdm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/brick"
 	"repro/internal/sim"
@@ -117,11 +118,11 @@ func (c *Controller) pickComputeIndexed(vcpus int, localMem brick.Bytes, exclude
 	minA, minB := int64(vcpus), int64(localMem)
 	switch c.cfg.Policy {
 	case PolicyFirstFit:
-		if pos := c.cpuIdx.firstFit(minA, minB, exclude); pos >= 0 {
+		if pos := c.cpuIdx.firstFit(0, minA, minB, exclude); pos >= 0 {
 			return c.computeOrder[pos], true
 		}
 	case PolicySpread:
-		if pos := c.cpuIdx.spreadBest(minA, minB, exclude); pos >= 0 {
+		if pos, _ := c.cpuIdx.spreadNext(minA, minB, exclude, math.MaxInt64, -1); pos >= 0 {
 			return c.computeOrder[pos], true
 		}
 	default:
@@ -189,11 +190,11 @@ func (c *Controller) pickMemoryIndexed(size brick.Bytes) (topo.BrickID, bool) {
 	minA, minB := int64(size), int64(1)
 	switch c.cfg.Policy {
 	case PolicyFirstFit:
-		if pos := c.memIdx.firstFit(minA, minB, -1); pos >= 0 {
+		if pos := c.memIdx.firstFit(0, minA, minB, -1); pos >= 0 {
 			return c.memoryOrder[pos], true
 		}
 	case PolicySpread:
-		if pos := c.memIdx.spreadBest(minA, minB, -1); pos >= 0 {
+		if pos, _ := c.memIdx.spreadNext(minA, minB, -1, math.MaxInt64, -1); pos >= 0 {
 			return c.memoryOrder[pos], true
 		}
 	default:

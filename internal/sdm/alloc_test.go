@@ -140,6 +140,35 @@ func TestPerRequestAttachDetachAllocs(t *testing.T) {
 			return err
 		}, (*Attachment).CrossRack)
 	})
+	t.Run("pod-packet", func(t *testing.T) {
+		cfg := DefaultConfig
+		cfg.PacketFallback = true
+		s := buildPodSched(t, 2, 4*brick.GiB, 1, cfg)
+		cpu, _, err := s.ReserveCompute("vm", 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fill the home rack, then hold a cross-rack host circuit on the
+		// rack's only uplink: every cycle's spill finds the uplinks
+		// exhausted and rides the host in packet mode.
+		if _, _, err := s.AttachRemoteMemory("vm", cpu, 4*brick.GiB); err != nil {
+			t.Fatal(err)
+		}
+		host, _, err := s.AttachRemoteMemory("vm", cpu, brick.GiB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !host.CrossRack() || host.Mode != ModeCircuit {
+			t.Fatal("setup: want a cross-rack host circuit")
+		}
+		pin(t, func() (*Attachment, error) {
+			att, _, err := s.AttachRemoteMemory("vm", cpu, brick.GiB/4)
+			return att, err
+		}, func(att *Attachment) error {
+			_, err := s.DetachRemoteMemory(att)
+			return err
+		}, func(att *Attachment) bool { return att.CrossRack() && att.Mode == ModePacket })
+	})
 	t.Run("row", func(t *testing.T) {
 		s := buildRowSched(t, 2, 1, 4*brick.GiB, DefaultConfig)
 		cpu, _, err := s.ReserveCompute("vm", 1, 0)

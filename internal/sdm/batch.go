@@ -43,7 +43,6 @@ package sdm
 // request order, and the rack wave only attaches (admitOne).
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/brick"
@@ -216,7 +215,6 @@ func (c *Controller) flushDirtyCPU() {
 	}
 	c.cpuIdx.touchMany(b.dirtyCPU)
 	b.dirtyCPU = b.dirtyCPU[:0]
-	c.notifyAgg()
 }
 
 // flushDirtyMem refreshes every dirty memory leaf once, recomputing
@@ -229,7 +227,6 @@ func (c *Controller) flushDirtyMem() {
 	}
 	c.memIdx.touchMany(b.dirtyMem)
 	b.dirtyMem = b.dirtyMem[:0]
-	c.notifyAgg()
 }
 
 // batchPickCompute is pickCompute under batch planning: cache hit with
@@ -537,9 +534,8 @@ func (st attachSite) attach(owner string, cpu topo.RowBrickID, size brick.Bytes,
 			lat += reconfig
 			break
 		}
-		var pf *optical.PortFailedError
-		fault := errors.As(cerr, &pf)
-		if fault && retry < maxRetries {
+		pf := portFault(cerr)
+		if pf != nil && retry < maxRetries {
 			// A port swaps only once its replacement is held, so the
 			// unwind never releases a port the attach does not hold.
 			ports, held := node.Brick.Ports, &cpuPort
@@ -559,7 +555,7 @@ func (st attachSite) attach(owner string, cpu topo.RowBrickID, size brick.Bytes,
 		m.Ports.Release(memPort)
 		m.Release(seg)
 		node.Brick.Ports.Release(cpuPort)
-		return fail(lat, !fault, cerr)
+		return fail(lat, pf == nil, cerr)
 	}
 	// TGL window push via the SDM Agent.
 	window := tgl.Entry{
@@ -630,4 +626,22 @@ func (st attachSite) unhost(att *Attachment) {
 	if st.tier != nil {
 		st.tier.cross.remove(att)
 	}
+}
+
+// portFault finds the port fault a failed connect wraps, or nil. It
+// unwraps with type assertions: errors.As would move its target to the
+// heap on every failed connect, and a packet-mode spill fails one per
+// attach.
+func portFault(err error) *optical.PortFailedError {
+	for err != nil {
+		if pf, ok := err.(*optical.PortFailedError); ok {
+			return pf
+		}
+		u, ok := err.(interface{ Unwrap() error })
+		if !ok {
+			return nil
+		}
+		err = u.Unwrap()
+	}
+	return nil
 }

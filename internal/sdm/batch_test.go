@@ -313,17 +313,13 @@ func TestAdmitBatchDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // indexValueSnap captures one placement index's scheduler-visible state
-// — tree nodes plus leaf capacity vectors.
+// — its tree nodes, leaves included.
 type indexValueSnap struct {
-	stats []pstat
-	tree  []node
+	tree []node
 }
 
 func snapIndex(idx *placementIndex) indexValueSnap {
-	return indexValueSnap{
-		stats: append([]pstat(nil), idx.stats...),
-		tree:  append([]node(nil), idx.tree...),
-	}
+	return indexValueSnap{tree: append([]node(nil), idx.tree...)}
 }
 
 // podBatchSnap captures everything the rollback contract promises to

@@ -1,32 +1,50 @@
 package sdm
 
-// The indexed placement engine: each controller maintains one
-// placementIndex per brick kind it schedules (compute, memory) — a
-// segment tree over the controller's deterministic brick order whose
-// leaves carry the brick's scheduler-visible capacity vector and whose
-// inner nodes carry per-power-state maxima plus a rank sum. Every
-// placement policy becomes an ordered-tree descent — O(log n) on
+// The placement index: one segment tree per brick kind and per tier.
+// A rack controller keeps a placementIndex over its compute bricks and
+// one over its memory bricks, in the controller's deterministic brick
+// order; a pod keeps one of each over its racks, and a row over its
+// pods. Every node carries per-power-state maxima of the two fitness
+// dimensions, the maximum rank, the rank sum and the per-state census,
+// so one node type and one set of descents serve every level:
+//
+//   - a brick leaf is the one-state node setLeaf builds from the brick's
+//     capacity vector (pstat);
+//   - a tier leaf is a child's root node — a rack's under its pod, a
+//     pod's tier root under its row — whose rank is the child's free
+//     cores (or, while a batch partition holds it, the child's room) or
+//     free bytes. Its fitness maxima come from different bricks, so a
+//     tier descent yields candidates that the child's own pick must
+//     confirm.
+//
+// Every placement policy becomes an ordered-tree descent — O(log n) on
 // typical inventories; adversarial shapes (every subtree viable
 // because the two fitness maxima come from different leaves, or ranks
 // monotonically increasing in order position) degrade a descent to
 // O(n), the same bound as the linear scan, never worse:
 //
-//   - first-fit descends to the lowest order position whose leaf fits,
-//     which preserves the pre-index computeOrder semantics exactly;
-//   - spread descends for the maximum rank among fitting leaves
-//     (earliest position wins ties, as the linear scan's strict ">" did);
+//   - first-fit descends to the lowest order position at or after a
+//     start whose leaf fits, which preserves the pre-index order
+//     semantics exactly (a tier resumes after a refused confirm);
+//   - spread descends for the next leaf in (rank descending, position
+//     ascending) order after a bound — the maximum rank among fitting
+//     leaves on the first call, the next candidate after a refused one;
 //   - power-aware runs the first-fit descent once per power bucket in
-//     preference order, pruned by the per-state maxima.
+//     preference order, pruned by the per-state maxima (bricks), or the
+//     any-state first-fit descent (tiers: the child's pick applies the
+//     buckets).
 //
 // Leaves refresh at the single choke point every mutation already flows
 // through — the lifecycle engine's commit/rollback plus the handful of
-// direct reservation paths — and a refresh that leaves the capacity
-// vector as it was (an untouched brick, or a compute brick whose only
-// change was a transceiver port) is a no-op comparison. The root's
-// aggregates (rank sum, per-state maxima) are what the pod tier reads
-// to make rack choice O(racks) arithmetic with no nested brick scans.
+// direct reservation paths — and a refresh that leaves the leaf as it
+// was (an untouched brick, or a compute brick whose only change was a
+// transceiver port) is a no-op comparison. A refresh that moves a root
+// touches that root's leaf in the parent tier's index (up), so every
+// tier answers from current roots. Inside a fan-out wave the link up is
+// held: the touch is recorded and replayed serially after the join.
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/brick"
@@ -48,42 +66,48 @@ type pstat struct {
 	rank int64
 }
 
-// node is one inner segment-tree node: per-power-state maxima of the
-// fitness dimensions and rank, plus the subtree rank sum and the
-// per-state brick census.
+// node is one segment-tree node: per-power-state maxima of the fitness
+// dimensions (-1 for a state no leaf below is in), the maximum leaf
+// rank, the rank sum and the per-state brick census.
 type node struct {
 	maxFitA [nStates]int64
 	maxFitB [nStates]int64
-	maxRank [nStates]int64
+	maxRank int64
 	sumRank int64
 	cnt     [nStates]int32
 }
 
-// placementIndex is the ordered capacity index over one brick kind.
+// placementIndex is the ordered capacity index over one brick kind's
+// bricks, or over one tier's children.
 type placementIndex struct {
-	n       int // brick count
-	size    int // leaf span (power of two >= n)
-	stats   []pstat
-	tree    []node
-	refresh func(pos int) pstat
+	n    int // leaf count
+	size int // leaf span (power of two >= max(n, 1)); leaf pos is tree[size+pos]
+	tree []node
+	// refresh brings leaf nd, at one order position, up to the live
+	// state and reports whether it moved.
+	refresh func(pos int, nd *node) bool
 	// work is touchMany's reused ancestor worklist.
 	work []int
+
+	// up is the parent tier's index, in which this index's root is leaf
+	// upAt (nil at the top, and under ScanLinear). While held, a root
+	// move only marks pending; release queues upAt in the parent's
+	// marked list, which the parent's flush touches.
+	up            *placementIndex
+	upAt          int
+	held, pending bool
+	marked        []int
 }
 
-// newPlacementIndex builds the index over n bricks; refresh reads the
-// live capacity vector of the brick at one order position.
-func newPlacementIndex(n int, refresh func(pos int) pstat) *placementIndex {
+// newPlacementIndex builds the index over n leaves.
+func newPlacementIndex(n int, refresh func(pos int, nd *node) bool) *placementIndex {
 	size := 1
 	for size < n {
 		size *= 2
 	}
-	if n == 0 {
-		size = 0
-	}
 	t := &placementIndex{
 		n:       n,
 		size:    size,
-		stats:   make([]pstat, n),
 		tree:    make([]node, 2*size),
 		refresh: refresh,
 	}
@@ -91,88 +115,103 @@ func newPlacementIndex(n int, refresh func(pos int) pstat) *placementIndex {
 	return t
 }
 
-// setLeaf writes the inner-node view of one leaf in place — the tree's
-// hot path runs through here on every touch, so nodes are never copied
-// by value.
-func (nd *node) setLeaf(s pstat) {
+// setLeaf makes nd a brick's leaf — the one-state node of its capacity
+// vector — and reports whether it moved.
+func (nd *node) setLeaf(s pstat) bool {
+	st := int(s.state)
+	if nd.cnt[st] == 1 && nd.maxFitA[st] == s.fitA && nd.maxFitB[st] == s.fitB && nd.sumRank == s.rank {
+		// A brick leaf counts one brick, so it is this vector already.
+		return false
+	}
 	for st := 0; st < nStates; st++ {
 		nd.maxFitA[st] = -1
 		nd.maxFitB[st] = -1
-		nd.maxRank[st] = -1
 		nd.cnt[st] = 0
 	}
-	st := int(s.state)
 	nd.maxFitA[st] = s.fitA
 	nd.maxFitB[st] = s.fitB
-	nd.maxRank[st] = s.rank
+	nd.maxRank = s.rank
 	nd.sumRank = s.rank
 	nd.cnt[st] = 1
+	return true
 }
 
-// setMerge combines two child nodes in place.
+// setRoot makes nd a tier leaf — a child's root r ranked by rank — and
+// reports whether it moved.
+func (nd *node) setRoot(r *node, rank int64) bool {
+	if nd.maxRank == rank && nd.sumRank == r.sumRank && nd.maxFitA == r.maxFitA && nd.maxFitB == r.maxFitB && nd.cnt == r.cnt {
+		return false
+	}
+	*nd = *r
+	nd.maxRank = rank
+	return true
+}
+
+// emptyNode is the identity of setMerge, the leaf at positions past n.
+var emptyNode = node{
+	maxFitA: [nStates]int64{-1, -1, -1},
+	maxFitB: [nStates]int64{-1, -1, -1},
+	maxRank: -1,
+}
+
+// setMerge combines two child nodes in place — the tree's hot path runs
+// through here on every touch, so nodes are never copied by value.
 func (nd *node) setMerge(a, b *node) {
 	for st := 0; st < nStates; st++ {
-		nd.maxFitA[st] = max64(a.maxFitA[st], b.maxFitA[st])
-		nd.maxFitB[st] = max64(a.maxFitB[st], b.maxFitB[st])
-		nd.maxRank[st] = max64(a.maxRank[st], b.maxRank[st])
+		nd.maxFitA[st] = max(a.maxFitA[st], b.maxFitA[st])
+		nd.maxFitB[st] = max(a.maxFitB[st], b.maxFitB[st])
 		nd.cnt[st] = a.cnt[st] + b.cnt[st]
 	}
+	nd.maxRank = max(a.maxRank, b.maxRank)
 	nd.sumRank = a.sumRank + b.sumRank
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// setEmpty writes the identity leaf for positions past n.
-func (nd *node) setEmpty() {
-	for st := 0; st < nStates; st++ {
-		nd.maxFitA[st] = -1
-		nd.maxFitB[st] = -1
-		nd.maxRank[st] = -1
-		nd.cnt[st] = 0
-	}
-	nd.sumRank = 0
 }
 
 // rebuild refreshes every leaf and recomputes the tree bottom-up —
 // used at construction and after bulk mutations (power sweeps).
 func (t *placementIndex) rebuild() {
-	if t.n == 0 {
-		return
-	}
 	for i := 0; i < t.size; i++ {
 		if i < t.n {
-			t.stats[i] = t.refresh(i)
-			t.tree[t.size+i].setLeaf(t.stats[i])
+			t.refresh(i, &t.tree[t.size+i])
 		} else {
-			t.tree[t.size+i].setEmpty()
+			t.tree[t.size+i] = emptyNode
 		}
 	}
 	for i := t.size - 1; i >= 1; i-- {
 		t.tree[i].setMerge(&t.tree[2*i], &t.tree[2*i+1])
 	}
+	t.rootMoved()
 }
 
-// touch re-reads the brick at one order position and, if its capacity
-// vector moved, updates the leaf and its root path — the O(log n)
-// maintenance step run at every mutation choke point.
+// touch re-reads the leaf at one order position and, if it moved,
+// updates the leaf and its root path — the O(log n) maintenance step
+// run at every mutation choke point.
 func (t *placementIndex) touch(pos int) {
 	if pos < 0 || pos >= t.n {
 		return
 	}
-	s := t.refresh(pos)
-	if s == t.stats[pos] {
+	i := t.size + pos
+	if !t.refresh(pos, &t.tree[i]) {
 		return
 	}
-	t.stats[pos] = s
-	i := t.size + pos
-	t.tree[i].setLeaf(s)
 	for i >>= 1; i >= 1; i >>= 1 {
 		t.tree[i].setMerge(&t.tree[2*i], &t.tree[2*i+1])
+	}
+	t.rootMoved()
+}
+
+// rerank sets the rank of the leaf at pos and recomputes the maximum
+// rank up its root path, stopping where it no longer moves — a tier's
+// room claim. Nothing propagates up a tier: a tier leaf ranks by its
+// child's rank sum or room, never by the child's maximum rank.
+func (t *placementIndex) rerank(pos int, rank int64) {
+	i := t.size + pos
+	t.tree[i].maxRank = rank
+	for i >>= 1; i >= 1; i >>= 1 {
+		m := max(t.tree[2*i].maxRank, t.tree[2*i+1].maxRank)
+		if t.tree[i].maxRank == m {
+			return
+		}
+		t.tree[i].maxRank = m
 	}
 }
 
@@ -184,7 +223,7 @@ func (t *placementIndex) touch(pos int) {
 // shared upper levels once per leaf; here the paths union instead, so a
 // flush costs at most one recompute per tree node. The resulting tree
 // is identical to applying touch per position — node values are pure
-// functions of the leaf stats, independent of recompute order.
+// functions of the leaves, independent of recompute order.
 func (t *placementIndex) touchMany(poss []int) {
 	// Small flushes (one or two leaves — the common case for the
 	// per-pick flushes of spread placement and single-attachment
@@ -201,19 +240,18 @@ func (t *placementIndex) touchMany(poss []int) {
 		if pos < 0 || pos >= t.n {
 			continue
 		}
-		s := t.refresh(pos)
-		if s == t.stats[pos] {
-			continue
+		if t.refresh(pos, &t.tree[t.size+pos]) {
+			w = append(w, t.size+pos)
 		}
-		t.stats[pos] = s
-		t.tree[t.size+pos].setLeaf(s)
-		w = append(w, t.size+pos)
+	}
+	if len(w) == 0 {
+		return
 	}
 	slices.Sort(w)
 	// Sorted node indices map to sorted parent indices, so each level
 	// dedups with an adjacent-equality check; the loop ends right after
 	// the iteration that recomputes the root (index 1).
-	for len(w) > 0 && w[0] > 1 {
+	for w[0] > 1 {
 		n := 0
 		for _, i := range w {
 			if p := i >> 1; n == 0 || w[n-1] != p {
@@ -227,12 +265,57 @@ func (t *placementIndex) touchMany(poss []int) {
 		}
 	}
 	t.work = w[:0]
+	t.rootMoved()
+}
+
+// rootMoved carries a root change up one tier: a touch of this index's
+// leaf in its parent's, or, while the link is held, a pending mark.
+func (t *placementIndex) rootMoved() {
+	switch {
+	case t.up == nil:
+	case t.held:
+		t.pending = true
+	default:
+		t.up.touch(t.upAt)
+	}
+}
+
+// hold defers this index's touches of its parent for a fan-out wave, in
+// which the parent's other children run on other workers; release ends
+// the wave's hold and queues a deferred touch in the parent, and the
+// parent's flush then touches every queued leaf at once (touchMany), so
+// a wave costs each tier node one recompute. All three are no-ops on
+// an unbuilt (nil) index.
+func (t *placementIndex) hold() {
+	if t != nil {
+		t.held = true
+	}
+}
+
+func (t *placementIndex) release() {
+	if t == nil {
+		return
+	}
+	t.held = false
+	if t.pending {
+		t.pending = false
+		t.up.marked = append(t.up.marked, t.upAt)
+	}
+}
+
+func (t *placementIndex) flush() {
+	if t == nil || len(t.marked) == 0 {
+		return
+	}
+	t.touchMany(t.marked)
+	t.marked = t.marked[:0]
 }
 
 // fitsAny reports whether a node may contain a leaf (in any power
-// state) satisfying both fitness thresholds. Conservative: the maxima
-// of the two dimensions may come from different leaves, so a true
-// answer still needs leaf confirmation; a false answer is exact.
+// state) satisfying both fitness thresholds. Conservative for inner
+// nodes and tier leaves: the maxima of the two dimensions may come from
+// different bricks, so a true answer still needs confirmation; a false
+// answer is exact. On a brick leaf it is exact.
 func (nd *node) fitsAny(minA, minB int64) bool {
 	for st := 0; st < nStates; st++ {
 		if nd.maxFitA[st] >= minA && nd.maxFitB[st] >= minB {
@@ -247,142 +330,143 @@ func (nd *node) fitsState(st int, minA, minB int64) bool {
 	return nd.maxFitA[st] >= minA && nd.maxFitB[st] >= minB
 }
 
-// maxRankAny returns the node's maximum rank across states.
-func (nd *node) maxRankAny() int64 {
-	m := nd.maxRank[0]
-	for st := 1; st < nStates; st++ {
-		m = max64(m, nd.maxRank[st])
-	}
-	return m
+// maxA returns the node's largest first-dimension fitness value over
+// all states, 0 when it holds no leaf — a memory root's largest gap.
+func (nd *node) maxA() int64 {
+	return max(0, nd.maxFitA[0], nd.maxFitA[1], nd.maxFitA[2])
 }
 
-// firstFit returns the lowest order position whose brick satisfies both
-// thresholds in any power state, skipping exclude; -1 if none.
-func (t *placementIndex) firstFit(minA, minB int64, exclude int) int {
-	if t.n == 0 {
-		return -1
-	}
-	return t.descendFirst(1, 0, t.size, exclude, func(nd *node) bool {
-		return nd.fitsAny(minA, minB)
-	}, func(s pstat) bool {
-		return s.fitA >= minA && s.fitB >= minB
-	})
+// root is the index's root node.
+func (t *placementIndex) root() *node { return &t.tree[1] }
+
+// leaf is the leaf at order position pos.
+func (t *placementIndex) leaf(pos int) *node { return &t.tree[t.size+pos] }
+
+// firstFit returns the lowest order position at or after from whose
+// leaf satisfies both thresholds in any power state, skipping exclude;
+// -1 if none.
+func (t *placementIndex) firstFit(from int, minA, minB int64, exclude int) int {
+	return t.descendFirst(from, exclude, -1, minA, minB)
 }
 
-// firstFitState is firstFit restricted to one power state.
+// firstFitState is firstFit from position 0 restricted to one power
+// state.
 func (t *placementIndex) firstFitState(state brick.PowerState, minA, minB int64, exclude int) int {
-	if t.n == 0 {
-		return -1
-	}
-	st := int(state)
-	return t.descendFirst(1, 0, t.size, exclude, func(nd *node) bool {
-		return nd.fitsState(st, minA, minB)
-	}, func(s pstat) bool {
-		return s.state == state && s.fitA >= minA && s.fitB >= minB
-	})
+	return t.descendFirst(0, exclude, int(state), minA, minB)
 }
 
-// descendFirst walks the tree left to right for the first accepted leaf.
-func (t *placementIndex) descendFirst(i, lo, hi, exclude int, viable func(*node) bool, accept func(pstat) bool) int {
-	if lo >= t.n || !viable(&t.tree[i]) {
-		return -1
-	}
-	if hi-lo == 1 {
-		if lo != exclude && accept(t.stats[lo]) {
+// The descents walk the tree in pre-order without a stack: a node that
+// passes descends to its left child; one that fails, or a leaf, moves
+// on to the next subtree — up past every right child, then across to
+// the right sibling. lo and n are the first order position and the leaf
+// count under node i; the walk ends when it climbs past the root.
+
+// descendFirst walks the tree left to right for the first leaf at or
+// after from that fits in state st (any state if st < 0).
+func (t *placementIndex) descendFirst(from, exclude, st int, minA, minB int64) int {
+	i, lo, n := 1, 0, t.size
+	for {
+		nd := &t.tree[i]
+		fits := lo < t.n && lo+n > from
+		if fits && st < 0 {
+			fits = nd.fitsAny(minA, minB)
+		} else if fits {
+			fits = nd.fitsState(st, minA, minB)
+		}
+		if fits && n > 1 {
+			i, n = 2*i, n/2
+			continue
+		}
+		if fits && lo != exclude {
 			return lo
 		}
-		return -1
+		for ; i&1 == 1; i >>= 1 {
+			lo, n = lo-n, 2*n
+		}
+		if i == 0 {
+			return -1
+		}
+		i, lo = i+1, lo+n
 	}
-	mid := (lo + hi) / 2
-	if p := t.descendFirst(2*i, lo, mid, exclude, viable, accept); p >= 0 {
-		return p
-	}
-	return t.descendFirst(2*i+1, mid, hi, exclude, viable, accept)
 }
 
-// spreadBest returns the order position with the maximum rank among
-// bricks satisfying both thresholds (any state), lowest position
-// winning ties — exactly the linear spread scan's strict-"> " answer;
-// -1 if none fits.
-func (t *placementIndex) spreadBest(minA, minB int64, exclude int) int {
-	if t.n == 0 {
-		return -1
-	}
+// spreadNext returns the position and rank of the first leaf satisfying
+// both thresholds (any state) in (rank descending, position ascending)
+// order that comes after (lastRank, last), skipping exclude; -1 if none.
+// With lastRank = math.MaxInt64 it is the maximum-rank fitting leaf,
+// lowest position winning ties — exactly the linear spread scan's
+// strict-">" answer; a tier passes its refused candidate to get the
+// next one. The walk goes left to right, pruning every subtree whose
+// maximum rank cannot beat the best leaf found.
+func (t *placementIndex) spreadNext(minA, minB int64, exclude int, lastRank int64, last int) (int, int64) {
 	best, bestRank := -1, int64(-1)
-	var walk func(i, lo, hi int)
-	walk = func(i, lo, hi int) {
+	i, lo, n := 1, 0, t.size
+	for {
 		nd := &t.tree[i]
-		if lo >= t.n || !nd.fitsAny(minA, minB) || nd.maxRankAny() <= bestRank {
-			return
-		}
-		if hi-lo == 1 {
-			s := t.stats[lo]
-			if lo != exclude && s.fitA >= minA && s.fitB >= minB && s.rank > bestRank {
-				best, bestRank = lo, s.rank
+		if lo < t.n && nd.maxRank > bestRank && nd.fitsAny(minA, minB) {
+			if n > 1 {
+				i, n = 2*i, n/2
+				continue
 			}
-			return
+			if r := nd.maxRank; lo != exclude && (r < lastRank || (r == lastRank && lo > last)) {
+				best, bestRank = lo, r
+			}
 		}
-		mid := (lo + hi) / 2
-		walk(2*i, lo, mid)
-		walk(2*i+1, mid, hi)
+		for ; i&1 == 1; i >>= 1 {
+			lo, n = lo-n, 2*n
+		}
+		if i == 0 {
+			return best, bestRank
+		}
+		i, lo = i+1, lo+n
 	}
-	walk(1, 0, t.size)
-	return best
 }
 
 // maxFitAAny returns the largest first-dimension fitness value over
-// all bricks (any state) — the rack's largest memory gap or largest
-// free-core count, read in O(1) at the root.
-func (t *placementIndex) maxFitAAny() int64 {
-	if t.n == 0 {
-		return 0
-	}
-	m := int64(0)
-	for st := 0; st < nStates; st++ {
-		m = max64(m, t.tree[1].maxFitA[st])
-	}
-	return m
+// all leaves (any state) — a rack's or tier's largest memory gap, read
+// in O(1) at the root.
+func (t *placementIndex) maxFitAAny() int64 { return t.root().maxA() }
+
+// canFit reports whether some leaf may satisfy both thresholds — the
+// O(1) root screen. Conservative in the same way fitsAny is.
+func (t *placementIndex) canFit(minA, minB int64) bool { return t.root().fitsAny(minA, minB) }
+
+// rankSum returns the total rank over all bricks — the free cores
+// (compute) or free bytes (memory) below the index, read in O(1).
+func (t *placementIndex) rankSum() int64 { return t.root().sumRank }
+
+// census returns the per-power-state brick census below the index,
+// read in O(1) at the root.
+func (t *placementIndex) census() PowerCensus {
+	cnt := t.root().cnt
+	return PowerCensus{Off: int(cnt[brick.PowerOff]), Idle: int(cnt[brick.PowerIdle]), Active: int(cnt[brick.PowerActive])}
 }
 
-// rootMaxFit returns the per-power-state maxima of both fitness
-// dimensions over all bricks (-1 for an empty state), read at the root.
-func (t *placementIndex) rootMaxFit() (a, b [nStates]int64) {
-	if t.n == 0 {
-		for st := range a {
-			a[st], b[st] = -1, -1
+// check recomputes every leaf through refresh and every inner node
+// through setMerge and reports the first node that differs, or a root
+// move still held back — the invariant checker's exact recompute.
+func (t *placementIndex) check() error {
+	if t.held || t.pending || len(t.marked) > 0 {
+		return fmt.Errorf("touches still deferred")
+	}
+	for pos := 0; pos < t.size; pos++ {
+		// A refresh of the empty node rewrites every field.
+		want := emptyNode
+		if pos < t.n {
+			t.refresh(pos, &want)
 		}
-		return a, b
+		if got := *t.leaf(pos); got != want {
+			return fmt.Errorf("leaf %d is %+v, a refresh reads %+v", pos, got, want)
+		}
 	}
-	return t.tree[1].maxFitA, t.tree[1].maxFitB
-}
-
-// canFit reports whether some brick may satisfy both thresholds — the
-// O(1) root check the pod tier uses to skip infeasible racks before
-// asking for an exact pick. Conservative in the same way fitsAny is.
-func (t *placementIndex) canFit(minA, minB int64) bool {
-	if t.n == 0 {
-		return false
+	for i := t.size - 1; i >= 1; i-- {
+		var want node
+		want.setMerge(&t.tree[2*i], &t.tree[2*i+1])
+		if t.tree[i] != want {
+			return fmt.Errorf("node %d is %+v, its children merge to %+v", i, t.tree[i], want)
+		}
 	}
-	return t.tree[1].fitsAny(minA, minB)
-}
-
-// rankSum returns the total rank over all bricks — the rack's free
-// cores (compute) or free bytes (memory), read in O(1).
-func (t *placementIndex) rankSum() int64 {
-	if t.n == 0 {
-		return 0
-	}
-	return t.tree[1].sumRank
-}
-
-// stateCounts returns the per-power-state brick census, read in O(1) at
-// the root — what the row tier's aggregate layer rolls up so a
-// row-wide power census never rescans bricks.
-func (t *placementIndex) stateCounts() [nStates]int32 {
-	if t.n == 0 {
-		return [nStates]int32{}
-	}
-	return t.tree[1].cnt
+	return nil
 }
 
 // computeStat reads the capacity vector of the compute brick at one
@@ -413,8 +497,8 @@ func (c *Controller) memoryStat(pos int) pstat {
 // brick orders are final. (The [tray][slot] → ordinal pos tables are
 // built alongside the orders in NewController.)
 func (c *Controller) buildIndexes() {
-	c.cpuIdx = newPlacementIndex(len(c.computeOrder), c.computeStat)
-	c.memIdx = newPlacementIndex(len(c.memoryOrder), c.memoryStat)
+	c.cpuIdx = newPlacementIndex(len(c.computeOrder), func(pos int, nd *node) bool { return nd.setLeaf(c.computeStat(pos)) })
+	c.memIdx = newPlacementIndex(len(c.memoryOrder), func(pos int, nd *node) bool { return nd.setLeaf(c.memoryStat(pos)) })
 }
 
 // touchCompute refreshes one compute brick's index leaf. In linear-scan
@@ -438,7 +522,6 @@ func (c *Controller) touchCompute(id topo.BrickID) {
 		return
 	}
 	c.cpuIdx.touch(pos)
-	c.notifyAgg()
 }
 
 // touchMemory refreshes one memory brick's index leaf (deferred to the
@@ -459,7 +542,6 @@ func (c *Controller) touchMemory(id topo.BrickID) {
 		return
 	}
 	c.memIdx.touch(pos)
-	c.notifyAgg()
 }
 
 // reindexAll rebuilds both indexes after a bulk mutation (power sweep).
@@ -469,14 +551,13 @@ func (c *Controller) reindexAll() {
 	}
 	c.cpuIdx.rebuild()
 	c.memIdx.rebuild()
-	c.notifyAgg()
 }
 
 // CanPlaceCompute reports in O(1) whether the rack may have a compute
 // brick with the requested free cores and local memory. A true answer
 // must be confirmed by pickCompute (the maxima may come from different
-// bricks); false is exact — the property the pod tier's rack loop
-// relies on to skip infeasible racks without scanning their bricks.
+// bricks); false is exact, as at every index root — callers use it to
+// skip infeasible racks without scanning their bricks.
 func (c *Controller) CanPlaceCompute(vcpus int, localMem brick.Bytes) bool {
 	if c.cfg.Scan == ScanLinear {
 		_, ok := c.pickCompute(vcpus, localMem)
@@ -486,8 +567,9 @@ func (c *Controller) CanPlaceCompute(vcpus int, localMem brick.Bytes) bool {
 }
 
 // MaxMemoryGap returns the largest contiguous free region on any of
-// the rack's memory bricks — O(1) at the index root; the pod tier uses
-// it to skip a doomed rack-local attach without building a plan.
+// the rack's memory bricks — O(1) at the index root; a batch's rack
+// shard uses it to skip a doomed rack-local attach without building a
+// plan.
 func (c *Controller) MaxMemoryGap() brick.Bytes {
 	if c.cfg.Scan == ScanLinear {
 		var best brick.Bytes
@@ -499,15 +581,4 @@ func (c *Controller) MaxMemoryGap() brick.Bytes {
 		return best
 	}
 	return brick.Bytes(c.memIdx.maxFitAAny())
-}
-
-// CanPlaceMemory reports in O(1) whether the rack may have a memory
-// brick with a contiguous gap of at least size and a spare port, with
-// the same conservative contract as CanPlaceCompute.
-func (c *Controller) CanPlaceMemory(size brick.Bytes) bool {
-	if c.cfg.Scan == ScanLinear {
-		_, ok := c.pickMemory(size)
-		return ok
-	}
-	return c.memIdx.canFit(int64(size), 1)
 }

@@ -43,18 +43,12 @@ func indexTestController(t *testing.T, policy Policy) *Controller {
 	return c
 }
 
-// verifyIndexes cross-checks every index leaf against live brick state.
+// verifyIndexes cross-checks every index leaf against live brick state
+// and every inner node against its children.
 func verifyIndexes(t *testing.T, c *Controller, step int) {
 	t.Helper()
-	for pos := range c.computeOrder {
-		if got, want := c.cpuIdx.stats[pos], c.computeStat(pos); got != want {
-			t.Fatalf("step %d: compute index leaf %d stale: %+v, brick says %+v", step, pos, got, want)
-		}
-	}
-	for pos := range c.memoryOrder {
-		if got, want := c.memIdx.stats[pos], c.memoryStat(pos); got != want {
-			t.Fatalf("step %d: memory index leaf %d stale: %+v, brick says %+v", step, pos, got, want)
-		}
+	if err := checkIndexes("rack", c.cpuIdx, c.memIdx); err != nil {
+		t.Fatalf("step %d: %v", step, err)
 	}
 }
 

@@ -2,10 +2,10 @@ package sdm
 
 // Conservation invariants for the randomized churn harness. After any
 // quiesced batch — admission, eviction, rebalance, consolidation — the
-// scheduler's derived state (index roots, registration indexes, host
-// tables, rider counts, the walk orders, the power census and the pod
-// summaries) must answer exactly what a ground-truth rescan of the
-// bricks answers, and every registered attachment's datapath (window
+// scheduler's derived state (the placement indexes at every tier,
+// registration indexes, host tables, rider counts, the walk orders and
+// the power census) must answer exactly what a ground-truth rescan of
+// the bricks answers, and every registered attachment's datapath (window
 // and circuit) must be live. One checker serves the pod and the row;
 // it is O(everything) by design: a test oracle, not a hot path.
 
@@ -21,13 +21,16 @@ import (
 // first violation found, or nil. An attachment owned by a tier above
 // the pod (a row's cross-pod spill) is a violation here: check the row.
 func (s *PodScheduler) CheckInvariants() error {
-	return checkTiers([]*crossTier{&s.crossTier}, [][]*Controller{s.racks})
+	if err := checkTiers([]*crossTier{&s.crossTier}, [][]*Controller{s.racks}); err != nil {
+		return err
+	}
+	return checkIndexes("pod", s.cpuIdx, s.memIdx)
 }
 
 // CheckInvariants is the row's checker: every pod's racks and
 // cross-rack bookkeeping, the row's cross-pod bookkeeping, and every
-// pod's aggregate summary against an exact recompute from its rack
-// roots.
+// pod's and the row's placement indexes against an exact recompute
+// from the roots below them.
 func (s *RowScheduler) CheckInvariants() error {
 	tiers := []*crossTier{&s.crossTier}
 	pods := make([][]*Controller, len(s.pods))
@@ -39,11 +42,24 @@ func (s *RowScheduler) CheckInvariants() error {
 		return err
 	}
 	for p, ps := range s.pods {
-		if ps.agg != nil {
-			if err := ps.agg.check(p); err != nil {
-				return err
-			}
+		if err := checkIndexes(fmt.Sprintf("pod %d", p), ps.cpuIdx, ps.memIdx); err != nil {
+			return err
 		}
+	}
+	return checkIndexes("row", s.cpuIdx, s.memIdx)
+}
+
+// checkIndexes checks a compute and a memory placement index (nil ones
+// are unbuilt: ScanLinear) against an exact recompute.
+func checkIndexes(where string, cpu, mem *placementIndex) error {
+	if cpu == nil {
+		return nil
+	}
+	if err := cpu.check(); err != nil {
+		return fmt.Errorf("%s: compute index: %v", where, err)
+	}
+	if err := mem.check(); err != nil {
+		return fmt.Errorf("%s: memory index: %v", where, err)
 	}
 	return nil
 }
@@ -70,9 +86,6 @@ func checkTiers(tiers []*crossTier, pods [][]*Controller) error {
 			where := label(p, ri)
 			if r.batch != nil && r.batch.active {
 				return fmt.Errorf("%s: invariants checked mid-batch", where)
-			}
-			if r.aggPending {
-				return fmt.Errorf("%s: pod summary fold still deferred", where)
 			}
 			if err := r.checkRack(where); err != nil {
 				return err
@@ -243,56 +256,6 @@ func (c *Controller) checkAttachments(where string, p, ri int, owned map[*crossT
 	return nil
 }
 
-// check compares a pod summary against an exact recompute from its
-// rack roots: the sums, the per-rack contributions (the compute roots'
-// per-state maxima among them), the censuses, and every max (exact
-// when clean, an upper bound while stale).
-func (g *podAgg) check(p int) error {
-	var cores, mem int64
-	var top [nMax]int64
-	for j := range top {
-		top[j] = -1
-	}
-	var cc, mc [nStates]int32
-	for slot, r := range g.racks {
-		rc, rm := r.cpuIdx.rankSum(), r.memIdx.rankSum()
-		if g.rackCores[slot] != rc || g.rackMem[slot] != rm {
-			return fmt.Errorf("pod %d: rack %d summary slot diverged from its index roots", p, slot)
-		}
-		q := rackMaxima(r)
-		if g.rackMax[slot] != q {
-			return fmt.Errorf("pod %d: rack %d cached maxima %v diverged from its index roots %v", p, slot, g.rackMax[slot], q)
-		}
-		cores, mem = cores+rc, mem+rm
-		for j, v := range q {
-			top[j] = max(top[j], v)
-		}
-		c, m := r.cpuIdx.stateCounts(), r.memIdx.stateCounts()
-		if g.rackCPUCensus[slot] != c || g.rackMemCensus[slot] != m {
-			return fmt.Errorf("pod %d: rack %d census slot diverged from its index roots", p, slot)
-		}
-		for st := 0; st < nStates; st++ {
-			cc[st] += c[st]
-			mc[st] += m[st]
-		}
-	}
-	if g.freeCores != cores {
-		return fmt.Errorf("pod %d: summary says %d free cores, recompute says %d", p, g.freeCores, cores)
-	}
-	if g.freeMem != mem {
-		return fmt.Errorf("pod %d: summary says %d free bytes, recompute says %d", p, g.freeMem, mem)
-	}
-	for j, v := range top {
-		if g.max[j] < v || (!g.stale[j] && g.max[j] != v) {
-			return fmt.Errorf("pod %d: summary max %d says %d (stale=%v), recompute says %d", p, j, g.max[j], g.stale[j], v)
-		}
-	}
-	if g.cpuCensus != cc || g.memCensus != mc {
-		return fmt.Errorf("pod %d: summary census diverged from recompute", p)
-	}
-	return nil
-}
-
 // checkDatapath checks that every attachment registered on this
 // (compute) rack is usable end to end: its TGL window translates on its
 // compute brick's agent, and its circuit — its own, or the host circuit
@@ -312,14 +275,13 @@ func (c *Controller) checkDatapath(where string) error {
 	return nil
 }
 
-// checkRack cross-checks one rack's index roots, gap caches and power
-// states against ground-truth scans.
+// checkRack checks one rack's placement indexes against an exact
+// recompute from its bricks, and its gap caches and power states
+// against ground-truth scans.
 func (c *Controller) checkRack(where string) error {
-	coreScan := 0
 	for pos, node := range c.computes {
 		id := c.computeOrder[pos]
 		b := node.Brick
-		coreScan += b.FreeCores()
 		if !b.IsIdle() && b.State() != brick.PowerActive {
 			return fmt.Errorf("%s: compute %v has allocations but state %v", where, id, b.State())
 		}
@@ -327,17 +289,10 @@ func (c *Controller) checkRack(where string) error {
 			return fmt.Errorf("%s: compute %v powered off with allocations", where, id)
 		}
 	}
-	if got := c.FreeCores(); got != coreScan {
-		return fmt.Errorf("%s: index root says %d free cores, scan says %d", where, got, coreScan)
-	}
-	var memScan, maxGapScan brick.Bytes
 	for pos, m := range c.memories {
 		id := c.memoryOrder[pos]
-		memScan += m.Free()
 		if g := m.LargestGapScan(); g != m.LargestGap() {
 			return fmt.Errorf("%s: memory %v gap cache %v diverged from scan %v", where, id, m.LargestGap(), g)
-		} else if g > maxGapScan {
-			maxGapScan = g
 		}
 		if !m.IsIdle() && m.State() != brick.PowerActive {
 			return fmt.Errorf("%s: memory %v has segments but state %v", where, id, m.State())
@@ -346,11 +301,9 @@ func (c *Controller) checkRack(where string) error {
 			return fmt.Errorf("%s: memory %v powered off with segments", where, id)
 		}
 	}
-	if got := c.FreeMemory(); got != memScan {
-		return fmt.Errorf("%s: index root says %v free memory, scan says %v", where, got, memScan)
+	if c.cfg.Scan == ScanLinear {
+		// Nothing maintains the indexes in linear-scan mode.
+		return nil
 	}
-	if got := c.MaxMemoryGap(); got != maxGapScan {
-		return fmt.Errorf("%s: index root says %v max gap, scan says %v", where, got, maxGapScan)
-	}
-	return nil
+	return checkIndexes(where, c.cpuIdx, c.memIdx)
 }

@@ -50,7 +50,7 @@ func TestCheckInvariantsCatchesCrossHostCorruption(t *testing.T) {
 
 // TestRowCheckInvariants: the row checker accepts a row holding
 // cross-pod attachments (which every per-pod check rejects as foreign)
-// and catches a pod summary that drifted from its rack roots.
+// and catches a pod's free-core sum that drifted from its rack roots.
 func TestRowCheckInvariants(t *testing.T) {
 	s := buildRowSched(t, 2, 2, 2*brick.GiB, DefaultConfig)
 	cpu, _, err := s.ReserveCompute("vm", 1, 0)
@@ -72,16 +72,17 @@ func TestRowCheckInvariants(t *testing.T) {
 	if err := s.Pod(cpu.Pod).CheckInvariants(); err == nil {
 		t.Fatal("pod check accepted a row-owned attachment")
 	}
-	s.Pod(1).agg.freeCores++
+	s.Pod(1).cpuIdx.root().sumRank++
 	if err := s.CheckInvariants(); err == nil {
-		t.Fatal("drifted pod free-core summary went unnoticed")
+		t.Fatal("drifted pod free-core sum went unnoticed")
 	}
 }
 
-// TestCheckInvariantsCatchesPodScreenCorruption: the row's pod compute
-// screen reads the pod summary's cached per-rack compute maxima and the
-// pod maxima over them, so the checker must notice either drifting
-// from the rack roots.
+// TestCheckInvariantsCatchesPodScreenCorruption: the row's pod screens
+// are the pods' index roots, read as leaves of the row's indexes, and a
+// pod's rack screens are the racks' roots, read as leaves of the pod's.
+// The checker must notice a tier-index leaf or inner node drifting
+// either way from an exact recompute, at the pod and at the row.
 func TestCheckInvariantsCatchesPodScreenCorruption(t *testing.T) {
 	s := buildRowSched(t, 2, 2, 2*brick.GiB, DefaultConfig)
 	if _, _, err := s.ReserveCompute("vm", 1, brick.GiB); err != nil {
@@ -90,28 +91,30 @@ func TestCheckInvariantsCatchesPodScreenCorruption(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("clean row: %v", err)
 	}
-	g := s.Pod(0).agg
 	active := int(brick.PowerActive)
-	for _, j := range []int{maxCoresQ + active, maxLocalQ + active} {
-		g.rackMax[0][j]++
-		if err := s.CheckInvariants(); err == nil {
-			t.Fatalf("drifted cached rack maximum %d went unnoticed", j)
-		}
-		g.rackMax[0][j]--
-		g.max[j]--
-		if err := s.CheckInvariants(); err == nil {
-			t.Fatalf("pod maximum %d below its racks went unnoticed", j)
-		}
-		g.max[j] += 2
-		if err := s.CheckInvariants(); err == nil {
-			t.Fatalf("clean pod maximum %d above its racks went unnoticed", j)
-		}
-		g.stale[j] = true
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatalf("a stale maximum may over-estimate: %v", err)
-		}
-		if got := g.maxOf(j); got != g.rackMax[0][j] && got != g.rackMax[1][j] {
-			t.Fatalf("stale maximum %d recomputed to %d", j, got)
+	for _, ix := range []struct {
+		name string
+		idx  *placementIndex
+	}{
+		{"pod 0 compute", s.Pod(0).cpuIdx},
+		{"pod 1 memory", s.Pod(1).memIdx},
+		{"row compute", s.cpuIdx},
+		{"row memory", s.memIdx},
+	} {
+		for _, at := range []struct {
+			name string
+			nd   *node
+		}{{"leaf", ix.idx.leaf(0)}, {"inner node", ix.idx.root()}} {
+			nd := at.nd
+			for _, f := range []*int64{&nd.maxFitA[active], &nd.maxFitB[active], &nd.maxRank, &nd.sumRank} {
+				for _, d := range []int64{1, -1} {
+					*f += d
+					if err := s.CheckInvariants(); err == nil {
+						t.Fatalf("%s index: %s drifted by %d went unnoticed", ix.name, at.name, d)
+					}
+					*f -= d
+				}
+			}
 		}
 	}
 	if err := s.CheckInvariants(); err != nil {

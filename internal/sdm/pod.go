@@ -31,21 +31,18 @@ import (
 // Cross-rack attachments are registered in the compute rack's
 // controller (so Attachments, scale-down and rider queries stay
 // uniform) and tagged with the pod's crossTier, which owns their
-// teardown. Under a row the pod is itself a child: it answers the row
-// the same O(1) questions a rack answers it, from its own aggregate
-// summary. Pod-only are the cross-rack moves: Repoint here, Rehome and
-// the rebalancer in rebalance.go, Consolidate in consolidate.go.
+// teardown. Rack choice descends the pod's placement indexes, whose
+// leaves are the racks' index roots. Under a row the pod is itself a
+// child: its index roots are its leaves in the row's indexes, as a
+// rack's are in the pod's. Pod-only are the cross-rack moves: Repoint
+// here, Rehome and the rebalancer in rebalance.go, Consolidate in
+// consolidate.go.
 type PodScheduler struct {
 	tier[*Controller]
 	pod    *topo.Pod
 	fabric *optical.PodFabric
 	// racks is the tier's kids under their pod-tier name.
 	racks []*Controller
-
-	// agg is the pod's cached aggregate summary (agg.go), installed when
-	// the pod serves a row in indexed-scan mode; nil otherwise, when the
-	// child answers sum the rack roots on demand.
-	agg *podAgg
 
 	// tierConns caches the cross-rack connectors per rack pair (see
 	// link).
@@ -151,53 +148,27 @@ func (s *PodScheduler) AttachRemoteMemory(owner string, cpu topo.PodBrickID, siz
 	return s.attach(owner, topo.RowBrickID{Rack: cpu.Rack, Brick: cpu.Brick}, size)
 }
 
-// The pod's side of the child contract, as its row sees it: O(1) reads
-// of its aggregate summary when installed, rack-root sums otherwise.
+// The pod's side of the child contract, as its row sees it; indexes,
+// freeCores and freeMemory are the tier body's.
 
-func (s *PodScheduler) freeCores() int64 {
-	if s.agg != nil {
-		return s.agg.FreeCores()
-	}
-	var n int64
-	for _, r := range s.racks {
-		n += int64(r.FreeCores())
-	}
-	return n
-}
-
-func (s *PodScheduler) freeMemory() brick.Bytes {
-	if s.agg != nil {
-		return s.agg.FreeMemory()
-	}
-	var n brick.Bytes
-	for _, r := range s.racks {
-		n += r.FreeMemory()
-	}
-	return n
-}
-
+// maxGap is the pod's largest contiguous memory gap, read at its memory
+// root (a walk over the racks under ScanLinear).
 func (s *PodScheduler) maxGap() brick.Bytes {
-	if s.agg != nil {
-		return s.agg.MaxGap()
+	if s.memIdx != nil {
+		return brick.Bytes(s.memIdx.maxFitAAny())
 	}
-	var max brick.Bytes
+	var g brick.Bytes
 	for _, r := range s.racks {
-		if g := r.MaxMemoryGap(); g > max {
-			max = g
-		}
+		g = max(g, r.MaxMemoryGap())
 	}
-	return max
+	return g
 }
 
-// canPlaceCompute screens on the summary's per-state maxima of free
-// cores and free local memory over the rack compute roots: false means
-// no brick in the pod fits. Only a row's indexed pick calls it, and
-// there the summary is always installed. canPlaceMemory's max gap is
-// exact.
+// canPlaceCompute is the pod's compute screen at its root: false means
+// no brick in the pod fits.
 func (s *PodScheduler) canPlaceCompute(vcpus int, localMem brick.Bytes) bool {
-	return s.agg.canPlaceCompute(int64(vcpus), int64(localMem))
+	return s.cpuIdx.canFit(int64(vcpus), int64(localMem))
 }
-func (s *PodScheduler) canPlaceMemory(size brick.Bytes) bool { return s.maxGap() >= size }
 func (s *PodScheduler) pickComputeIn(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, bool) {
 	_, loc, ok := s.pickCompute(vcpus, localMem, -1, cached)
 	return loc, ok
@@ -207,11 +178,7 @@ func (s *PodScheduler) fitsMemory(size brick.Bytes) bool {
 	return ok
 }
 func (s *PodScheduler) pickMem(size brick.Bytes, self int) (memPick, bool) {
-	r, ok := s.pickMemory(size, -1)
-	if !ok {
-		return memPick{}, false
-	}
-	m, ok := s.racks[r].pickMem(size, r)
+	m, ok := s.pickMemory(size, -1)
 	m.at.Pod = self
 	return m, ok
 }
@@ -268,8 +235,8 @@ func (s *PodScheduler) link(ra, rb int) connector {
 // admitWaves runs every rack's admission sub-batch — the attaches of
 // the computes the partition claimed — on its own worker; evictWaves
 // runs every rack's teardown sub-batch.
-func (s *PodScheduler) admitWaves(workers int) { s.fo.each(workers, len(s.admit.active), s.admitWave) }
-func (s *PodScheduler) evictWaves(workers int) { s.fo.each(workers, len(s.evict.active), s.evictWave) }
+func (s *PodScheduler) admitWaves(workers int) { s.wave(workers, s.admit.active, s.admitWave) }
+func (s *PodScheduler) evictWaves(workers int) { s.wave(workers, s.evict.active, s.evictWave) }
 
 func (s *PodScheduler) repoint(att *Attachment, newCPU topo.BrickID) (tgl.Entry, sim.Duration, error) {
 	return s.Repoint(att, topo.PodBrickID{Rack: att.CPURack, Brick: newCPU})

@@ -15,13 +15,13 @@ import (
 // body (tier.go) over PodSchedulers instead of rack Controllers, with
 // the same recursive placement contract:
 //
-//   - Compute and memory go pod-local first. Pod choice is the same
-//     O(1)-per-candidate arithmetic the pod runs for rack choice, read
-//     from each pod's aggregate summary (agg.go): free cores, free
-//     memory, max gap and power census roll up from rack index roots
-//     into per-pod summaries maintained incrementally at the index
-//     choke points — pod choice at 32 pods of 32 racks is O(pods)
-//     arithmetic, never a rescan of 1024 racks.
+//   - Compute and memory go pod-local first. Pod choice is the descent
+//     the pod runs for rack choice, one level up: the row's placement
+//     indexes have the pods' index roots as leaves, which have the
+//     racks' roots as leaves, each maintained by a touch at the index
+//     choke points — pod choice at 32 pods of 32 racks is an O(log
+//     pods) descent, never a rescan of 1024 racks, and the row's power
+//     census is read at its roots.
 //   - A memory request the VM's pod cannot satisfy spills cross-pod: a
 //     segment in another pod reached through the row circuit switch,
 //     paying the row tier's hop/fiber/reconfig profile on top of both
@@ -31,9 +31,9 @@ import (
 //     the row tier: the attachment rides an existing cross-pod circuit
 //     from the same compute brick.
 //
-// Row-specific are the row switch (crossLink), the batch engines' wave
-// sequence (a pod routing wave, one flat (pod, rack) commit wave, a pod
-// merge wave) and the AggCensus fast path.
+// Row-specific are the row switch (crossLink) and the batch engines'
+// wave sequence (a pod routing wave, one flat (pod, rack) commit wave,
+// a pod merge wave).
 type RowScheduler struct {
 	tier[*PodScheduler]
 	row    *topo.Row
@@ -80,11 +80,6 @@ func NewRowScheduler(row *topo.Row, fabric *optical.RowFabric, bc BrickConfigs, 
 		}
 		for _, r := range p.racks {
 			r.crossHosts[1] = make([][]*Attachment, len(r.computes))
-		}
-		// Under ScanLinear the index choke points don't fire, so a
-		// summary would go stale; the pod sums its rack roots instead.
-		if cfg.Scan != ScanLinear {
-			p.agg = newPodAgg(p.racks)
 		}
 		s.pods = append(s.pods, p)
 	}
@@ -145,9 +140,8 @@ func (s *RowScheduler) Pod(i int) *PodScheduler {
 // Fabric returns the row fabric.
 func (s *RowScheduler) Fabric() *optical.RowFabric { return s.fabric }
 
-// PodFreeCores reads one pod's free-core sum — the cached per-pod
-// aggregate pod choice is arithmetic over, O(1) under the default
-// indexed scan.
+// PodFreeCores reads one pod's free-core sum — the rank sum at its
+// compute root, O(1) under the default indexed scan.
 func (s *RowScheduler) PodFreeCores(i int) int64 { return s.pods[i].freeCores() }
 
 // PodFreeMemory reads one pod's free pooled bytes, like PodFreeCores.
@@ -155,7 +149,7 @@ func (s *RowScheduler) PodFreeMemory(i int) brick.Bytes { return s.pods[i].freeM
 
 // PodMaxGap reads one pod's largest contiguous memory gap — the
 // admission doom-screen quantity. Linear mode takes the max over the
-// rack index roots.
+// racks.
 func (s *RowScheduler) PodMaxGap(i int) brick.Bytes { return s.pods[i].maxGap() }
 
 // ReserveCompute places a compute reservation row-wide: the policy
@@ -174,27 +168,6 @@ func (s *RowScheduler) ReleaseCompute(id topo.RowBrickID, vcpus int, localMem br
 // the cross-pod spill, then the row-tier packet fallback.
 func (s *RowScheduler) AttachRemoteMemory(owner string, cpu topo.RowBrickID, size brick.Bytes) (*Attachment, sim.Duration, error) {
 	return s.attach(owner, cpu, size)
-}
-
-// AggCensus reads the power census for one brick kind from the cached
-// pod summaries — O(pods) instead of a walk over every brick. Falls
-// back to the exact walk (Census) in linear-scan mode and for
-// accelerators (which the placement indexes don't cover).
-func (s *RowScheduler) AggCensus(kind topo.BrickKind) PowerCensus {
-	if s.cfg.Scan == ScanLinear || (kind != topo.KindCompute && kind != topo.KindMemory) {
-		return s.Census(kind)
-	}
-	var pc PowerCensus
-	for _, p := range s.pods {
-		cnt := p.agg.cpuCensus
-		if kind == topo.KindMemory {
-			cnt = p.agg.memCensus
-		}
-		pc.Off += int(cnt[brick.PowerOff])
-		pc.Idle += int(cnt[brick.PowerIdle])
-		pc.Active += int(cnt[brick.PowerActive])
-	}
-	return pc
 }
 
 // crossLink returns the connector joining the compute endpoint to the
@@ -232,9 +205,9 @@ func (s *RowScheduler) crossLink(cpu, mem topo.RowBrickID) connector {
 // worker per pod again).
 func (s *RowScheduler) admitWaves(workers int) {
 	a := &s.admit
-	s.fo.each(workers, len(a.active), s.admitPlanWave)
+	s.wave(workers, a.active, s.admitPlanWave)
 	s.commitWave(workers, true, s.admitCommitWave)
-	s.fo.each(workers, len(a.active), s.admitMergeWave)
+	s.wave(workers, a.active, s.admitMergeWave)
 }
 
 // evictWaves is admitWaves' teardown twin: each pod splits its shard,
@@ -243,17 +216,18 @@ func (s *RowScheduler) admitWaves(workers int) {
 // shard results.
 func (s *RowScheduler) evictWaves(workers int) {
 	e := &s.evict
-	s.fo.each(workers, len(e.active), s.evictPlanWave)
+	s.wave(workers, e.active, s.evictPlanWave)
 	s.commitWave(workers, false, s.evictCommitWave)
-	s.fo.each(workers, len(e.active), s.evictMergeWave)
+	s.wave(workers, e.active, s.evictMergeWave)
 }
 
 // commitWave runs the flat (pod, rack) wave over every rack with a
 // non-empty admission (or eviction) sub-batch in the active pods. Rack
-// shards of one pod share that pod's aggregate summary, so the
-// rack→pod rollup is deferred for the wave and flushed serially in
-// (pod, rack) order before any pod- or row-tier pick reads it; every
-// shard then writes only its own rack's state.
+// shards of one pod share that pod's indexes, so, as in every wave
+// (tier.wave), the links up of the racks, and of their pods, are held
+// for the wave; after the join each pod flushes its racks' leaves and
+// the row its pods', before any pod- or row-tier pick reads them.
+// Every shard writes only its own rack's state.
 func (s *RowScheduler) commitWave(workers int, admit bool, fn func(i int)) {
 	active := s.evict.active
 	if admit {
@@ -273,13 +247,21 @@ func (s *RowScheduler) commitWave(workers int, admit bool, fn func(i int)) {
 		}
 	}
 	s.shards = shards
+	for _, p := range active {
+		holdUp(s.pods[p])
+	}
 	for _, sh := range shards {
-		s.pods[sh.pod].racks[sh.rack].deferAgg()
+		holdUp(s.pods[sh.pod].racks[sh.rack])
 	}
 	s.fo.each(workers, len(shards), fn)
 	for _, sh := range shards {
-		s.pods[sh.pod].racks[sh.rack].flushAgg()
+		releaseUp(s.pods[sh.pod].racks[sh.rack])
 	}
+	for _, p := range active {
+		s.pods[p].flush()
+		releaseUp(s.pods[p])
+	}
+	s.flush()
 }
 
 func (s *RowScheduler) repoint(att *Attachment, _ topo.BrickID) (tgl.Entry, sim.Duration, error) {

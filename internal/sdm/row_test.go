@@ -555,15 +555,24 @@ func TestRowSpillOrderingMatchesLinearReference(t *testing.T) {
 	}
 }
 
-// TestRowAggCensusMatchesExact: the O(pods) census from the cached pod
-// summaries must match the exact brick walk through power transitions.
-func TestRowAggCensusMatchesExact(t *testing.T) {
+// TestRowCensusMatchesExact: the census read at the row's index roots
+// must match the exact brick walk through power transitions.
+func TestRowCensusMatchesExact(t *testing.T) {
 	s := buildRowSched(t, 3, 2, 2*brick.GiB, DefaultConfig)
 	check := func(when string) {
 		t.Helper()
 		for _, kind := range []topo.BrickKind{topo.KindCompute, topo.KindMemory} {
-			if agg, exact := s.AggCensus(kind), s.Census(kind); agg != exact {
-				t.Fatalf("%s: AggCensus(%v) = %+v, exact %+v", when, kind, agg, exact)
+			var exact PowerCensus
+			for _, p := range s.pods {
+				for _, r := range p.racks {
+					c := r.Census(kind)
+					exact.Off += c.Off
+					exact.Idle += c.Idle
+					exact.Active += c.Active
+				}
+			}
+			if got := s.Census(kind); got != exact {
+				t.Fatalf("%s: Census(%v) = %+v, exact %+v", when, kind, got, exact)
 			}
 		}
 	}

@@ -261,18 +261,6 @@ type Controller struct {
 	// aborting eviction can restore them exactly (see teardown.go).
 	undoLog []detachUndo
 
-	// agg, when non-nil, is the summary of the pod this rack rolls up
-	// into (see agg.go); aggSlot is the rack's slot in it. Installed
-	// when the pod joins a row, so pod choice reads cached per-pod
-	// summaries instead of re-summing racks.
-	agg     *podAgg
-	aggSlot int
-	// aggDefer postpones the rollup while a row-tier commit wave runs
-	// racks of the same pod on different workers; aggPending marks a
-	// deferred fold for the wave's serial flush (see notifyAgg).
-	aggDefer   bool
-	aggPending bool
-
 	tally
 }
 

@@ -4,9 +4,10 @@ package sdm
 // routes them to PodSchedulers with the same placement contract one
 // level up (DESIGN §11). Both embed one tier[C] over their children:
 //
-//   - Child choice is O(children) arithmetic over each child's O(1)
-//     answers — free cores, free memory, max gap and the can-place
-//     screens — plus one confirming pick per surviving candidate.
+//   - Child choice is a descent of the tier's own placement index, one
+//     compute and one memory index whose leaves are the children's
+//     roots (index.go), plus one confirming pick per candidate: a
+//     refused candidate resumes the descent after it.
 //   - A memory request the VM's child cannot serve spills across the
 //     tier's own circuit switch. The spill runs the one attach body at
 //     the tier's attach site (spillSite): its circuit crosses the
@@ -33,22 +34,23 @@ import (
 )
 
 // child is what a tier asks of the units it routes to — a rack
-// Controller under a pod, a PodScheduler under a row. The screens are
-// O(1) and sound (false is exact); the fits* picks confirm.
+// Controller under a pod, a PodScheduler under a row. Its index roots
+// are the tier's leaves; the picks confirm a descent's candidate.
 type child interface {
+	// indexes are the child's own compute and memory placement indexes
+	// (nil for a pod under ScanLinear).
+	indexes() (cpu, mem *placementIndex)
+	// freeCores, freeMemory and fitsMemory serve the ScanLinear loops.
 	freeCores() int64
 	freeMemory() brick.Bytes
-	maxGap() brick.Bytes
-	canPlaceCompute(vcpus int, localMem brick.Bytes) bool
-	canPlaceMemory(size brick.Bytes) bool
 	// pickComputeIn is the confirming compute pick: the brick the
 	// child's own policy would reserve, addressed below this tier.
 	// cached serves rack picks from the batch pick cache of racks a
 	// partition has claimed on.
 	pickComputeIn(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, bool)
 	fitsMemory(size brick.Bytes) bool
-	// pickMem selects the memory end of a spill landing on this child,
-	// which sits at index self in its tier.
+	// pickMem is the confirming memory pick: the memory end of a spill
+	// landing on this child, which sits at index self in its tier.
 	pickMem(size brick.Bytes, self int) (memPick, bool)
 	// rackAt returns the child's rack i (a rack is its own only rack);
 	// hasRack validates i.
@@ -112,6 +114,10 @@ type tier[C child] struct {
 	sw interface{ PowerW() float64 }
 	crossTier
 
+	// cpuIdx and memIdx index the children's compute and memory roots
+	// (nil under ScanLinear, where nothing maintains them).
+	cpuIdx, memIdx *placementIndex
+
 	// admit and evict hold the batch engines' reused partition state;
 	// fo is the reusable fan-out scratch of the tier's waves (see
 	// tierbatch.go).
@@ -121,10 +127,78 @@ type tier[C child] struct {
 }
 
 // init wires a tier at level lvl (0 pod, 1 row) over its children, its
-// own switch and the embedding scheduler.
+// own switch and the embedding scheduler, and links each child's roots
+// into the tier's indexes.
 func (t *tier[C]) init(cfg Config, lvl int, kids []C, sw interface{ PowerW() float64 }, spec tierSpec) {
 	t.cfg, t.kids, t.sw = cfg, kids, sw
 	t.lvl, t.spec = lvl, spec
+	if cfg.Scan == ScanLinear {
+		return
+	}
+	t.cpuIdx = newPlacementIndex(len(kids), t.cpuLeaf)
+	t.memIdx = newPlacementIndex(len(kids), t.memLeaf)
+	for i, k := range kids {
+		cpu, mem := k.indexes()
+		cpu.up, cpu.upAt = t.cpuIdx, i
+		mem.up, mem.upAt = t.memIdx, i
+	}
+}
+
+// cpuLeaf refreshes child i's compute leaf: its compute root, ranked
+// by its free cores, or by its room while a partition holds room.
+func (t *tier[C]) cpuLeaf(i int, nd *node) bool {
+	cpu, _ := t.kids[i].indexes()
+	r := cpu.root()
+	rank := r.sumRank
+	if t.admit.roomHeld {
+		rank = t.admit.room[i]
+	}
+	return nd.setRoot(r, rank)
+}
+
+// memLeaf refreshes child i's memory leaf: its memory root, ranked by
+// its free bytes.
+func (t *tier[C]) memLeaf(i int, nd *node) bool {
+	_, mem := t.kids[i].indexes()
+	r := mem.root()
+	return nd.setRoot(r, r.sumRank)
+}
+
+// wave runs fn over the active children on the tier's fan-out, with
+// their links into the tier's indexes held: no two workers write one
+// index. After the join the held leaves are touched serially, in one
+// flush per index. Every fan-out wave, pod and row, runs through here
+// or, for the row's flat (pod, rack) wave, through the same hold,
+// release and flush.
+func (t *tier[C]) wave(workers int, active []int, fn func(i int)) {
+	for _, k := range active {
+		holdUp(t.kids[k])
+	}
+	t.fo.each(workers, len(active), fn)
+	for _, k := range active {
+		releaseUp(t.kids[k])
+	}
+	t.flush()
+}
+
+// holdUp and releaseUp hold and release both of a child's links into
+// its tier's indexes; flush touches the leaves its released children
+// queued.
+func holdUp(c child) {
+	cpu, mem := c.indexes()
+	cpu.hold()
+	mem.hold()
+}
+
+func releaseUp(c child) {
+	cpu, mem := c.indexes()
+	cpu.release()
+	mem.release()
+}
+
+func (t *tier[C]) flush() {
+	t.cpuIdx.flush()
+	t.memIdx.flush()
 }
 
 // kidOf is the index of the child holding l.
@@ -186,15 +260,47 @@ func (t *tier[C]) Stats() (requests, failures, spills uint64) {
 
 // pickCompute applies the placement policy to child choice for a
 // compute reservation, never returning exclude. It returns the child
-// and the brick its confirming pick found there. Indexed choice is
-// O(children) arithmetic: each child's O(1) screens, and one confirming
-// pick for the child that could actually win. Under ScanLinear every
-// child runs a full pick per probe — the pre-index nested scan.
+// and the brick its confirming pick found there. Indexed choice is a
+// descent of the compute index for the next candidate — in index order
+// (power-aware, first-fit) or in (most free cores, lowest index) order
+// (spread) — confirmed by the child's pick; a refused candidate resumes
+// the descent after it. Under ScanLinear every child runs a full pick
+// per probe — the pre-index nested scan.
 func (t *tier[C]) pickCompute(vcpus int, localMem brick.Bytes, exclude int, cached bool) (int, topo.RowBrickID, bool) {
-	linear := t.cfg.Scan == ScanLinear
+	k, found := -1, false
+	var loc topo.RowBrickID
+	if t.cfg.Scan == ScanLinear {
+		k, loc, found = t.pickComputeLinear(vcpus, localMem, exclude, cached)
+	} else {
+		minA, minB := int64(vcpus), int64(localMem)
+		rank := int64(math.MaxInt64)
+		for !found {
+			if t.cfg.Policy == PolicySpread {
+				k, rank = t.cpuIdx.spreadNext(minA, minB, exclude, rank, k)
+			} else {
+				k = t.cpuIdx.firstFit(k+1, minA, minB, exclude)
+			}
+			if k < 0 {
+				break
+			}
+			loc, found = t.kids[k].pickComputeIn(vcpus, localMem, cached)
+		}
+	}
+	if found {
+		if t.lvl == 0 {
+			loc.Rack = k
+		} else {
+			loc.Pod = k
+		}
+	}
+	return k, loc, found
+}
+
+// pickComputeLinear is pickCompute's ScanLinear loop.
+func (t *tier[C]) pickComputeLinear(vcpus int, localMem brick.Bytes, exclude int, cached bool) (int, topo.RowBrickID, bool) {
 	best, found := -1, false
 	var loc topo.RowBrickID
-	if t.cfg.Policy == PolicySpread && linear {
+	if t.cfg.Policy == PolicySpread {
 		bestFree := int64(-1)
 		for i, k := range t.kids {
 			if i == exclude {
@@ -206,90 +312,65 @@ func (t *tier[C]) pickCompute(vcpus int, localMem brick.Bytes, exclude int, cach
 				}
 			}
 		}
-	} else if t.cfg.Policy == PolicySpread {
-		// The winner is the first child, in (most free cores, lowest
-		// index) order, that fits. Each round takes the next screened
-		// child in that order and confirms it, so a round's O(children)
-		// arithmetic usually buys the answer with one pick.
-		lastFree, last := int64(math.MaxInt64), -1
-		for !found {
-			best = -1
-			bestFree := int64(-1)
-			for i, k := range t.kids {
-				free := t.freeOf(i)
-				if i == exclude || free <= bestFree || free > lastFree || (free == lastFree && i <= last) ||
-					!k.canPlaceCompute(vcpus, localMem) {
-					continue
-				}
-				best, bestFree = i, free
-			}
-			if best < 0 {
-				break
-			}
-			loc, found = t.kids[best].pickComputeIn(vcpus, localMem, cached)
-			lastFree, last = bestFree, best
+		return best, loc, found
+	}
+	// Power-aware and first-fit pack children in index order.
+	for i, k := range t.kids {
+		if i == exclude {
+			continue
 		}
-	} else {
-		// Power-aware and first-fit pack children in index order.
-		for i, k := range t.kids {
-			if i == exclude || (!linear && !k.canPlaceCompute(vcpus, localMem)) {
-				continue
-			}
-			if l, ok := k.pickComputeIn(vcpus, localMem, cached); ok {
-				best, loc, found = i, l, true
-				break
-			}
+		if l, ok := k.pickComputeIn(vcpus, localMem, cached); ok {
+			return i, l, true
 		}
 	}
-	if found {
-		if t.lvl == 0 {
-			loc.Rack = best
-		} else {
-			loc.Pod = best
-		}
-	}
-	return best, loc, found
+	return -1, loc, false
 }
 
 // pickMemory applies the placement policy to the child choice of a
-// spill, never returning the VM's home child; same structure as
-// pickCompute.
-func (t *tier[C]) pickMemory(size brick.Bytes, home int) (int, bool) {
-	linear := t.cfg.Scan == ScanLinear
-	if t.cfg.Policy == PolicySpread {
-		best, found := -1, false
-		var bestFree brick.Bytes
-		for i, k := range t.kids {
-			if i == home {
-				continue
-			}
-			if linear {
-				if k.fitsMemory(size) {
-					if free := k.freeMemory(); !found || free > bestFree {
-						best, bestFree, found = i, free, true
-					}
-				}
-				continue
-			}
-			free := k.freeMemory()
-			if (found && free <= bestFree) || !k.canPlaceMemory(size) {
-				continue
-			}
-			if k.fitsMemory(size) {
-				best, bestFree, found = i, free, true
-			}
-		}
-		return best, found
+// spill, never choosing the VM's home child, and returns the memory end
+// the chosen child's pick found; same structure as pickCompute, ranked
+// by free bytes.
+func (t *tier[C]) pickMemory(size brick.Bytes, home int) (memPick, bool) {
+	if t.cfg.Scan == ScanLinear {
+		return t.pickMemoryLinear(size, home)
 	}
+	minA := int64(size)
+	k, rank := -1, int64(math.MaxInt64)
+	for {
+		if t.cfg.Policy == PolicySpread {
+			k, rank = t.memIdx.spreadNext(minA, 1, home, rank, k)
+		} else {
+			k = t.memIdx.firstFit(k+1, minA, 1, home)
+		}
+		if k < 0 {
+			return memPick{}, false
+		}
+		if pick, ok := t.kids[k].pickMem(size, k); ok {
+			return pick, true
+		}
+	}
+}
+
+// pickMemoryLinear is pickMemory's ScanLinear loop.
+func (t *tier[C]) pickMemoryLinear(size brick.Bytes, home int) (memPick, bool) {
+	best, found := -1, false
+	var bestFree brick.Bytes
 	for i, k := range t.kids {
-		if i == home || (!linear && !k.canPlaceMemory(size)) {
+		if i == home || !k.fitsMemory(size) {
 			continue
 		}
-		if k.fitsMemory(size) {
-			return i, true
+		if t.cfg.Policy != PolicySpread {
+			best, found = i, true
+			break
+		}
+		if free := k.freeMemory(); !found || free > bestFree {
+			best, bestFree, found = i, free, true
 		}
 	}
-	return -1, false
+	if !found {
+		return memPick{}, false
+	}
+	return t.kids[best].pickMem(size, best)
 }
 
 // reserve places a compute reservation tier-wide: the policy picks a
@@ -313,7 +394,7 @@ func (t *tier[C]) reserve(vcpus int, localMem brick.Bytes, cached bool) (topo.Ro
 
 // claim reserves the compute at loc in child k. Under a batch partition
 // (cached) the racks below defer their index refreshes and the tier's
-// screens read roots that lag behind the claims; admission only
+// leaves carry roots that lag behind the claims; admission only
 // consumes, so they over-estimate and stay sound, and spread ranks the
 // children by room — exact arithmetic — instead.
 func (t *tier[C]) claim(k int, loc topo.RowBrickID, vcpus int, localMem brick.Bytes, cached bool) (sim.Duration, error) {
@@ -323,8 +404,14 @@ func (t *tier[C]) claim(k int, loc topo.RowBrickID, vcpus int, localMem brick.By
 		// The first claim at this tier in the partition: nothing below
 		// has deferred anything yet, so the children's answers are exact.
 		sc.room = sc.room[:0]
-		for _, c := range t.kids {
-			sc.room = append(sc.room, c.freeCores())
+		for i, c := range t.kids {
+			var free int64
+			if t.cpuIdx != nil {
+				free = t.cpuIdx.leaf(i).sumRank // the child's current root
+			} else {
+				free = c.freeCores()
+			}
+			sc.room = append(sc.room, free)
 		}
 		sc.roomHeld = true
 	}
@@ -332,18 +419,38 @@ func (t *tier[C]) claim(k int, loc topo.RowBrickID, vcpus int, localMem brick.By
 	if err != nil {
 		t.failures++
 		if took {
-			sc.roomHeld = false
+			t.dropRoom()
 		}
 		return 0, err
 	}
 	if sc.roomHeld {
 		sc.room[k] -= int64(vcpus)
+		if t.cpuIdx != nil {
+			t.cpuIdx.rerank(k, sc.room[k])
+		}
 	}
 	return lat, nil
 }
 
-// freeOf is child i's free cores: room while a partition holds it, the
-// child's own answer otherwise.
+// dropRoom ends a partition's hold on room: the compute leaves rank by
+// the children's own free cores again.
+func (t *tier[C]) dropRoom() {
+	if !t.admit.roomHeld {
+		return
+	}
+	t.admit.roomHeld = false
+	if t.cpuIdx == nil {
+		return
+	}
+	for k := range t.kids {
+		if nd := t.cpuIdx.leaf(k); nd.maxRank != nd.sumRank {
+			t.cpuIdx.rerank(k, nd.sumRank)
+		}
+	}
+}
+
+// freeOf is child i's free cores in the ScanLinear loop: room while a
+// partition holds it, the child's own answer otherwise.
 func (t *tier[C]) freeOf(i int) int64 {
 	if t.admit.roomHeld {
 		return t.admit.room[i]
@@ -375,9 +482,9 @@ func (t *tier[C]) attach(owner string, cpu topo.RowBrickID, size brick.Bytes) (*
 	var att *Attachment
 	var lat sim.Duration
 	var localErr error
-	if t.cfg.Scan != ScanLinear && kid.maxGap() < size {
+	if t.memIdx != nil && t.memIdx.leaf(k).maxA() < int64(size) {
 		// No brick anywhere in the child has a contiguous gap for the
-		// request (the max is exact), so neither its local attempt nor
+		// request (the max at its leaf is exact), so neither its local attempt nor
 		// anything it could cascade into can succeed: skip the doomed
 		// plan. Counters mirror the attempt; the matching error text is
 		// materialized only if the spill fails too, keeping the hot
@@ -412,14 +519,10 @@ func (t *tier[C]) spillSite(cpu topo.RowBrickID) attachSite {
 // child by the tier's policy, the brick by that child's. exhausted
 // marks a failure the packet fallback may absorb.
 func (t *tier[C]) pickSpill(size brick.Bytes, home int) (memPick, bool, error) {
-	n := tierNames[t.lvl]
-	k, ok := t.pickMemory(size, home)
+	pick, ok := t.pickMemory(size, home)
 	if !ok {
+		n := tierNames[t.lvl]
 		return memPick{}, true, fmt.Errorf("sdm: no %s in the %s with %v contiguous free and a spare port", n.kid, n.tier, size)
-	}
-	pick, ok := t.kids[k].pickMem(size, k)
-	if !ok {
-		return memPick{}, false, fmt.Errorf("sdm: %s %d memory vanished mid-selection", n.kid, k)
 	}
 	return pick, false, nil
 }
@@ -489,9 +592,16 @@ func (t *tier[C]) PowerOnAll() {
 	}
 }
 
-// Census aggregates the power census for one brick kind tier-wide by
-// walking every rack.
+// Census returns the power census for one brick kind tier-wide: the
+// census at the tier's compute or memory root, or a walk over the
+// children (accelerators, which no index covers, and ScanLinear).
 func (t *tier[C]) Census(kind topo.BrickKind) PowerCensus {
+	switch {
+	case kind == topo.KindCompute && t.cpuIdx != nil:
+		return t.cpuIdx.census()
+	case kind == topo.KindMemory && t.memIdx != nil:
+		return t.memIdx.census()
+	}
 	var pc PowerCensus
 	for _, k := range t.kids {
 		c := k.Census(kind)
@@ -501,6 +611,35 @@ func (t *tier[C]) Census(kind topo.BrickKind) PowerCensus {
 	}
 	return pc
 }
+
+// freeCores is the tier's free cores: its compute root's rank sum, or
+// the children's sum under ScanLinear.
+func (t *tier[C]) freeCores() int64 {
+	if t.cpuIdx != nil {
+		return t.cpuIdx.rankSum()
+	}
+	var n int64
+	for _, k := range t.kids {
+		n += k.freeCores()
+	}
+	return n
+}
+
+// freeMemory is the tier's free pooled bytes, like freeCores.
+func (t *tier[C]) freeMemory() brick.Bytes {
+	if t.memIdx != nil {
+		return brick.Bytes(t.memIdx.rankSum())
+	}
+	var n brick.Bytes
+	for _, k := range t.kids {
+		n += k.freeMemory()
+	}
+	return n
+}
+
+// indexes are the tier's own placement indexes, its roots' leaves in
+// the tier above.
+func (t *tier[C]) indexes() (cpu, mem *placementIndex) { return t.cpuIdx, t.memIdx }
 
 // DrawW returns the tier's electrical draw: every child plus the
 // tier's own switch.
@@ -523,15 +662,11 @@ func (a *Attachment) memAt() topo.RowBrickID {
 }
 
 // The rack Controller's side of the child contract: thin views of its
-// exported, index-backed answers.
+// indexes and exported answers.
 
-func (c *Controller) freeCores() int64        { return int64(c.FreeCores()) }
-func (c *Controller) freeMemory() brick.Bytes { return c.FreeMemory() }
-func (c *Controller) maxGap() brick.Bytes     { return c.MaxMemoryGap() }
-func (c *Controller) canPlaceCompute(vcpus int, localMem brick.Bytes) bool {
-	return c.CanPlaceCompute(vcpus, localMem)
-}
-func (c *Controller) canPlaceMemory(size brick.Bytes) bool { return c.CanPlaceMemory(size) }
+func (c *Controller) indexes() (cpu, mem *placementIndex) { return c.cpuIdx, c.memIdx }
+func (c *Controller) freeCores() int64                    { return int64(c.FreeCores()) }
+func (c *Controller) freeMemory() brick.Bytes             { return c.FreeMemory() }
 func (c *Controller) pickComputeIn(vcpus int, localMem brick.Bytes, cached bool) (topo.RowBrickID, bool) {
 	var id topo.BrickID
 	var ok bool

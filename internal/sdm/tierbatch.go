@@ -18,7 +18,8 @@ package sdm
 //  2. Waves (parallel): the tier's wave sequence (tierSpec) runs the
 //     sub-batches on worker goroutines. The pod runs one rack wave; the
 //     row runs a pod routing wave, one flat (pod, rack) commit wave
-//     with deferred rack→pod rollups, and a pod merge wave. An
+//     and a pod merge wave. Every wave holds its units' links into the
+//     tier indexes above them and touches the leaves after the join. An
 //     admission's rack shards only attach. Shards share nothing, so the
 //     outcome is byte-identical at any worker count.
 //  3. Merge (serial): admission gathers the results and spills the
@@ -311,7 +312,7 @@ func (t *tier[C]) abortAdmit() {
 // when its attach shard does.
 func (t *tier[C]) partition(reqs []AdmitRequest) (int, error) {
 	sc := &t.admit
-	sc.roomHeld = false
+	t.dropRoom()
 	sc.reset(len(reqs), len(t.kids))
 	if cap(sc.claims) < len(reqs) {
 		sc.claims = make([]claimAt, len(reqs))
@@ -331,7 +332,7 @@ func (t *tier[C]) partition(reqs []AdmitRequest) (int, error) {
 		}
 		kid[i], claims[i] = t.kidOf(loc), claimAt{loc: loc, lat: lat}
 	}
-	sc.roomHeld = false
+	t.dropRoom()
 	packShards(&sc.shardPack, reqs[:n], &sc.subReq, &sc.subOut)
 	for i := 0; i < n; i++ {
 		if reqs[i].VCPUs > 0 && !reqs[i].claimed {
